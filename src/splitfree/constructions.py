@@ -75,12 +75,6 @@ class AffinePlane:
     def line_count(self) -> int:
         return self.q ** 2
 
-    def point_id(self, x, y) -> int:
-        return self.field.index(x) * self.q + self.field.index(y)
-
-    def line_id(self, m, b) -> int:
-        return self.q ** 2 + self.field.index(m) * self.q + self.field.index(b)
-
     def points_on_line(self, m_index: int, b_index: int) -> np.ndarray:
         """Point ids on the line of slope index m and intercept index b."""
         p, q = self.field.p, self.q
@@ -98,8 +92,7 @@ class AffinePlane:
         bi = np.repeat(np.arange(q, dtype=np.int64), q)
         x0, x1 = xi % p, xi // p
         b0, b1 = bi % p, bi // p
-        # encoded edge keys point_id*V + line_id, filled slope by slope;
-        # incidences are pairwise distinct, so the lean constructor applies
+        # encoded edge keys point*V + line, filled slope by slope
         keys = np.empty(q ** 3, dtype=np.int64)
         for mi in range(q):
             mx0, mx1 = self.field.mul_arrays(mi % p, mi // p, x0, x1)

@@ -19,6 +19,7 @@ from .graphs import Graph, build_graph, read_graph
 
 ORACLE_PATTERN_CAP = 12   # contains_subgraph is for desk-scale cross-checks
 KST_ENUM_CAP = 1 << 12    # host-size cap for the exhaustive s >= 3 search
+WEDGE_BLOCK = 1 << 16     # wedges sorted at once by the common-neighbor scan
 
 
 @dataclass(frozen=True)
@@ -151,39 +152,43 @@ class BicliqueWitness:
     right: tuple[int, ...]
 
 
-def _wedge_keys(g: Graph) -> np.ndarray:
-    """Encoded endpoint pairs u*V+w (u < w) of all 2-edge paths in g; a pair
-    with c common neighbors appears exactly c times."""
-    chunks = []
-    tri_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for center in range(g.V):
-        nb = g.neighbors(center)
-        d = len(nb)
-        if d < 2:
-            continue
-        if d not in tri_cache:
-            tri_cache[d] = np.triu_indices(d, k=1)
-        iu, iw = tri_cache[d]
-        chunks.append(nb[iu] * g.V + nb[iw])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
 def _pair_with_common_at_least(g: Graph, t: int) -> tuple[int, int] | None:
-    """Lexicographically smallest vertex pair with >= t common neighbors."""
-    keys = np.sort(_wedge_keys(g))
-    if t == 1:
-        hit = len(keys) > 0
-        idx = 0
-    else:
-        runs = keys[t - 1:] == keys[: len(keys) - (t - 1)]
-        hit = bool(runs.any())
-        idx = int(np.argmax(runs)) if hit else 0
-    if not hit:
-        return None
-    key = int(keys[idx])
-    return key // g.V, key % g.V
+    """Lexicographically smallest vertex pair with >= t common neighbors.
+
+    Wedges (u, c, w) with u < w, encoded u*V+w, are generated from the CSR
+    arrays for a block of consecutive low endpoints u at a time, sorted and
+    scanned for a run of t equal keys.  A pair's wedges all fall in its low
+    endpoint's block and blocks ascend in u, so the first block with a run
+    holds the answer.  A block holds at most WEDGE_BLOCK wedges unless one
+    low endpoint alone has more.
+    """
+    V = g.V
+    indptr, nb = g.csr()
+    deg = np.diff(indptr)
+    rowkeys = np.repeat(np.arange(V, dtype=np.int64) * V, deg) + nb
+    # bound[u] >= wedges of the low endpoints below u (all w in N(c) but u counted)
+    bound = np.concatenate(([0], np.cumsum(deg[nb] - 1)))[indptr]
+    a = 0
+    while a < V:
+        b = max(int(np.searchsorted(bound, bound[a] + WEDGE_BLOCK, side="right")) - 1, a + 1)
+        u = np.repeat(np.arange(a, b, dtype=np.int64), deg[a:b])
+        c = nb[indptr[a]:indptr[b]]
+        # row c lists u itself; its neighbors after u are the w > u
+        lo = np.searchsorted(rowkeys, c * V + u, side="right")
+        count = indptr[c + 1] - lo
+        total = int(count.sum())
+        if total >= t:
+            pos = np.repeat(lo - (np.cumsum(count) - count), count)
+            pos += np.arange(total)
+            keys = nb[pos]
+            keys += np.repeat(u * V, count)
+            keys.sort()
+            runs = keys[t - 1:] == keys[:total - t + 1]
+            if runs.any():
+                key = int(keys[int(runs.argmax())])
+                return key // V, key % V
+        a = b
+    return None
 
 
 def is_c4_free(g: Graph) -> BicliqueWitness | None:

@@ -9,6 +9,8 @@ has exactly n(n-1)/2 edges.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +26,7 @@ from .errors import (
 )
 
 BITSET_THRESHOLD = 1 << 16  # packed adjacency rows are built only below this
+MAX_VERTICES = math.isqrt(2 ** 63 - 1)  # edge keys u*V+v must fit in int64
 
 
 class Graph:
@@ -34,47 +37,28 @@ class Graph:
     neighbor sets, packed bitset rows) are built lazily.
     """
 
-    def __init__(self, vertex_count: int, edges: np.ndarray,
-                 bitset_threshold: int | None = None):
+    def __init__(self, vertex_count: int, edges: np.ndarray):
         self.V = int(vertex_count)
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            u = np.minimum(e[:, 0], e[:, 1])
-            v = np.maximum(e[:, 0], e[:, 1])
-            keys = np.unique(u * self.V + v)
-            e = np.column_stack((keys // self.V, keys % self.V))
-        self.edges = e
-        self.M = len(e)
-        self.bitset_threshold = BITSET_THRESHOLD if bitset_threshold is None else bitset_threshold
-        self._indptr = None
-        self._indices = None
-        self._adjsets = None
-        self._bitrows = None
+        self._set_keys(np.minimum(e[:, 0], e[:, 1]) * self.V + np.maximum(e[:, 0], e[:, 1]))
 
     @classmethod
     def from_edge_keys(cls, vertex_count: int, keys: np.ndarray) -> "Graph":
-        """Lean constructor from encoded edges u*V+v (u < v), consuming the
-        key array in place; keys must be duplicate-free.  Used by bulk
-        builders to halve the peak memory of canonicalization."""
-        keys.sort()
-        if len(keys) and bool((keys[1:] == keys[:-1]).any()):
-            raise InvariantViolation("duplicate edge keys")
+        """Graph of the encoded edges u*V+v (u < v); may sort `keys` in place."""
         g = cls.__new__(cls)
         g.V = int(vertex_count)
-        g.edges = np.column_stack((keys // g.V, keys % g.V))
-        g.M = len(keys)
-        g.bitset_threshold = BITSET_THRESHOLD
-        g._indptr = g._indices = g._adjsets = g._bitrows = None
+        g._set_keys(keys)
         return g
 
-    def _build_csr(self):
-        both = np.concatenate((self.edges, self.edges[:, ::-1])) if self.M else np.empty((0, 2), np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        self._indices = both[:, 1].copy()
-        self._indptr = np.zeros(self.V + 1, dtype=np.int64)
-        np.add.at(self._indptr, both[:, 0] + 1, 1)
-        np.cumsum(self._indptr, out=self._indptr)
+    def _set_keys(self, keys: np.ndarray) -> None:
+        """The one canonicalization: ascending keys are taken as they are,
+        others are sorted and deduplicated."""
+        if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        self.edges = np.column_stack(np.divmod(keys, self.V))
+        self.M = len(keys)
+        self._indptr = self._indices = self._adjsets = self._bitrows = None
 
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.V, dtype=np.int64)
@@ -83,14 +67,21 @@ class Graph:
             d += np.bincount(self.edges[:, 1], minlength=self.V)
         return d
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices): the sorted neighbors of v are indices[indptr[v]:indptr[v+1]]."""
+        if self._indptr is None:
+            # a stable sort by row puts each row's lower neighbors (edges
+            # (u, row), ascending u) before its upper ones, so rows are sorted
+            rows = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
+            order = np.argsort(rows, kind="stable")
+            self._indices = np.concatenate((self.edges[:, 0], self.edges[:, 1]))[order]
+            self._indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.V))))
+        return self._indptr, self._indices
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor ids of v."""
-        if self._indptr is None:
-            self._build_csr()
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        indptr, indices = self.csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def adjacency_sets(self) -> list[set[int]]:
         if self._adjsets is None:
@@ -109,9 +100,9 @@ class Graph:
     def bitrow(self, v: int) -> int:
         """Neighbors of v as a Python-int bitset (bit i set iff i adjacent to v)."""
         if self._bitrows is None:
-            if self.V > self.bitset_threshold:
+            if self.V > BITSET_THRESHOLD:
                 raise InvariantViolation(
-                    f"bitset rows unavailable for V={self.V} > {self.bitset_threshold}")
+                    f"bitset rows unavailable for V={self.V} > {BITSET_THRESHOLD}")
             rows = [0] * self.V
             for u, w in self.edges.tolist():
                 rows[u] |= 1 << w
@@ -120,7 +111,7 @@ class Graph:
         return self._bitrows[v]
 
     def common_neighbors(self, u: int, v: int) -> np.ndarray:
-        if self.V <= self.bitset_threshold:
+        if self.V <= BITSET_THRESHOLD:
             inter = self.bitrow(u) & self.bitrow(v)
             out = []
             while inter:
@@ -176,7 +167,8 @@ class SplitGraph:
             raise InvariantViolation("blob count must be positive")
         if len(b) and (b.min() < 0 or b.max() >= self.n):
             raise InvariantViolation("blob id outside [0, n)")
-        sizes = np.bincount(b, minlength=self.n)
+        # with n > V blobs one of blobs 0..V is empty: count no further
+        sizes = np.bincount(b, minlength=min(self.n, len(b) + 1))
         if (sizes == 0).any():
             raise InvariantViolation(f"blob {int(np.argmax(sizes == 0))} is empty")
         if sizes.max() > self.k:
@@ -322,8 +314,7 @@ def restrict_blobs(s: SplitGraph, n_target: int) -> SplitGraph:
 def contract_blobs(s: SplitGraph) -> Graph:
     """Simple graph on the blobs: two blobs adjacent iff some edge crosses them."""
     keys, _ = _cross_pair_keys(s)
-    present = np.unique(keys)
-    return Graph(s.n, np.column_stack((present // s.n, present % s.n)))
+    return Graph.from_edge_keys(s.n, keys)
 
 
 def two_coloring(g: Graph) -> np.ndarray | None:
@@ -374,7 +365,12 @@ def connected_components(g: Graph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _edge_lines(g: Graph) -> list[str]:
-    return [f"e {u} {v}" for u, v in g.edges.tolist()]
+    """The 'e <u> <v>' lines, joined into one string per low endpoint u."""
+    ids = [str(i) for i in range(g.V)]
+    high = [ids[v] for v in g.edges[:, 1].tolist()]
+    starts = np.searchsorted(g.edges[:, 0], np.arange(g.V + 1)).tolist()
+    return [f"e {u} " + f"\ne {u} ".join(high[a:b])
+            for u, (a, b) in enumerate(zip(starts, starts[1:])) if a < b]
 
 
 def write_split(s: SplitGraph, path) -> None:
@@ -393,6 +389,40 @@ def write_graph(g: Graph, path) -> None:
     lines.extend(_edge_lines(g))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# Bulk parsing of exactly the form the writers emit, integers cut at 17 digits
+# so np.fromstring cannot saturate.  Anything else (comments, blank lines, CRLF,
+# signs, leading zeros, bad ids or order) goes to the line scanner.
+_UINT = rb"(?:0|[1-9][0-9]{0,16})"
+_SPLIT_HEADER = re.compile(rb"splitgraph 1\nn (%s) k (%s) v (%s) e (%s)\n" % ((_UINT,) * 4))
+_GRAPH_HEADER = re.compile(rb"graph 1\nv (%s) e (%s)\n" % (_UINT, _UINT))
+_ROWS = {tag: re.compile(rb"(?:%s %s %s\n)*+" % (tag, _UINT, _UINT)) for tag in (b"b", b"e")}
+
+
+def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
+    """Header numbers and one (count, 2) array per row tag, the counts being
+    the header's last numbers; None unless the rows are all there and the
+    edges (the last tag) are canonical."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = header.match(data)
+    if head is None:
+        return None
+    nums = [int(x) for x in head.groups()]
+    pos, sections = head.end(), []
+    for tag, count in zip(tags, nums[-len(tags):]):
+        end = _ROWS[tag].match(data, pos).end()
+        rows = np.fromstring(data[pos:end].translate(None, tag), dtype=np.int64, sep=" ")
+        if len(rows) != 2 * count:
+            return None
+        sections.append(rows.reshape(-1, 2))
+        pos = end
+    vcount, (u, v) = nums[-2], sections[-1].T
+    if pos < len(data) or vcount > MAX_VERTICES or not (v < vcount).all() \
+            or not (u < v).all() or not (np.diff(u * vcount + v) > 0).all():
+        return None
+    return nums, sections
 
 
 class _LineReader:
@@ -428,9 +458,9 @@ def _int_field(lineno: int, token: str, what: str) -> int:
 
 
 def _read_edges(reader: _LineReader, count: int, vertex_count: int) -> np.ndarray:
-    edges = np.empty((count, 2), dtype=np.int64)
+    edges = []  # grown line by line: no array is sized by an unchecked header count
     prev = (-1, -1)
-    for idx in range(count):
+    for _ in range(count):
         lineno, toks = reader.next("an 'e <u> <v>' line")
         if len(toks) != 3 or toks[0] != "e":
             raise ParseError(lineno, f"expected 'e <u> <v>', got {' '.join(toks)!r}")
@@ -443,11 +473,30 @@ def _read_edges(reader: _LineReader, count: int, vertex_count: int) -> np.ndarra
         if (u, v) <= prev:
             raise ParseError(lineno, "edges out of lexicographic order or duplicated")
         prev = (u, v)
-        edges[idx] = (u, v)
-    return edges
+        edges.append(prev)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _check_counts(lineno: int, vcount: int, ecount: int) -> None:
+    if not (0 <= vcount <= MAX_VERTICES and ecount >= 0):
+        raise ParseError(lineno, f"need 0 <= vertex count <= {MAX_VERTICES} and edge count >= 0")
 
 
 def read_split(path) -> SplitGraph:
+    parsed = _bulk_parse(path, _SPLIT_HEADER, (b"b", b"e"))
+    if parsed is not None:
+        (n, k, vcount, _), (b, e) = parsed
+        if np.array_equal(b[:, 0], np.arange(vcount)) and (b[:, 1] < n).all():
+            return SplitGraph(Graph(vcount, e), b[:, 1].copy(), n, k)
+    return _scan_split(path)
+
+
+def read_graph(path) -> Graph:
+    parsed = _bulk_parse(path, _GRAPH_HEADER, (b"e",))
+    return _scan_graph(path) if parsed is None else Graph(parsed[0][0], parsed[1][0])
+
+
+def _scan_split(path) -> SplitGraph:
     reader = _LineReader(path)
     lineno, toks = reader.next("'splitgraph 1' header")
     if toks != ["splitgraph", "1"]:
@@ -459,7 +508,8 @@ def read_split(path) -> SplitGraph:
     k = _int_field(lineno, toks[3], "k")
     vcount = _int_field(lineno, toks[5], "vertex count")
     ecount = _int_field(lineno, toks[7], "edge count")
-    blob_of = np.empty(vcount, dtype=np.int64)
+    _check_counts(lineno, vcount, ecount)
+    blob_of = []
     for vid in range(vcount):
         lineno, toks = reader.next("a 'b <vid> <blobid>' line")
         if len(toks) != 3 or toks[0] != "b":
@@ -470,13 +520,13 @@ def read_split(path) -> SplitGraph:
         blob = _int_field(lineno, toks[2], "blob id")
         if not 0 <= blob < n:
             raise ParseError(lineno, f"blob id {blob} outside [0, {n})")
-        blob_of[vid] = blob
+        blob_of.append(blob)
     edges = _read_edges(reader, ecount, vcount)
     reader.done()
     return SplitGraph(Graph(vcount, edges), blob_of, n, k)
 
 
-def read_graph(path) -> Graph:
+def _scan_graph(path) -> Graph:
     reader = _LineReader(path)
     lineno, toks = reader.next("'graph 1' header")
     if toks != ["graph", "1"]:
@@ -486,6 +536,7 @@ def read_graph(path) -> Graph:
         raise ParseError(lineno, "expected 'v <V> e <E>'")
     vcount = _int_field(lineno, toks[1], "vertex count")
     ecount = _int_field(lineno, toks[3], "edge count")
+    _check_counts(lineno, vcount, ecount)
     edges = _read_edges(reader, ecount, vcount)
     reader.done()
     return Graph(vcount, edges)

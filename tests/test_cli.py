@@ -187,3 +187,13 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"]
+
+
+def test_malformed_header_counts_exit_1(capsys, tmp_path):
+    path = tmp_path / "bad.sg"
+    for vcount in ("-3", "1000000000000"):
+        path.write_text(f"splitgraph 1\nn 1 k 1 v {vcount} e 0\nb 0 0\n")
+        for argv in (["verify", "--input", str(path)],
+                     ["restrict", "--input", str(path), "--n", "1"]):
+            code, result = invoke(capsys, *argv)
+            assert code == 1 and result["error"]["type"] == "ParseError"

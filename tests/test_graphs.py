@@ -1,18 +1,22 @@
 """Graph and split-graph behavior: construction validation, verification,
 pruning, restriction, contraction, and file round trips."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_split_census, complete_graph, cycle_graph
+from splitfree import graphs
 from splitfree.errors import (
     EndpointOutOfRange,
     InvariantViolation,
     LoopEdge,
     NotALaxSplit,
     ParseError,
+    SplitfreeError,
     TargetTooLarge,
 )
 from splitfree.graphs import (
@@ -43,14 +47,15 @@ def test_build_graph_examples():
         build_graph(3, [(1, 1)])
 
 
-def test_common_neighbors_and_bitrows():
+def test_common_neighbors_and_bitrows(monkeypatch):
     g = build_graph(5, [(0, 1), (0, 2), (3, 1), (3, 2), (0, 4)])
     assert g.common_neighbors(0, 3).tolist() == [1, 2]
     assert g.bitrow(0) == (1 << 1) | (1 << 2) | (1 << 4)
     assert g.has_edge(0, 4) and not g.has_edge(1, 2)
 
     # above the bitset threshold the neighbor-list route answers the same
-    small = Graph(5, g.edges, bitset_threshold=3)
+    monkeypatch.setattr(graphs, "BITSET_THRESHOLD", 3)
+    small = Graph(5, g.edges)
     assert small.common_neighbors(0, 3).tolist() == [1, 2]
     with pytest.raises(InvariantViolation):
         small.bitrow(0)
@@ -232,3 +237,158 @@ def test_split_io_round_trip_property(s):
         path = Path(tmp) / "s.sg"
         write_split(s, path)
         assert read_split(path) == s
+
+
+# ---------------------------------------------------------------------------
+# Bulk parsing against the line scanner, and the grouped writer
+# ---------------------------------------------------------------------------
+
+def _reference_text(obj) -> str:
+    """The file text as a plain per-line formatter writes it."""
+    if isinstance(obj, SplitGraph):
+        g = obj.graph
+        lines = ["splitgraph 1", f"n {obj.n} k {obj.k} v {g.V} e {g.M}"]
+        lines += [f"b {v} {b}" for v, b in enumerate(obj.blob_of.tolist())]
+    else:
+        g = obj
+        lines = ["graph 1", f"v {g.V} e {g.M}"]
+    lines += [f"e {u} {v}" for u, v in g.edges.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _constructions():
+    from splitfree.constructions import (
+        build_affine_split,
+        build_bipartite_split,
+        build_split_from_coloring,
+        build_star_free_split,
+        construct_c4_free_split,
+        round_robin_coloring,
+    )
+    return {
+        "affine2": build_affine_split(2),
+        "affine3": build_affine_split(3),
+        "pipeline27": construct_c4_free_split(27),
+        "pipeline100": construct_c4_free_split(100),
+        "bipartite7": build_bipartite_split(7),
+        "star10": build_star_free_split(10, 3),
+        "from_coloring": build_split_from_coloring(round_robin_coloring(6)),
+        "c6_paired": c6_paired_split(),
+        "edgeless": SplitGraph(Graph(2, np.empty((0, 2), np.int64)), np.array([0, 1]), 2, 1),
+    }
+
+
+@pytest.mark.parametrize("name", list(_constructions()))
+def test_write_read_write_byte_identity(name, tmp_path):
+    s = _constructions()[name]
+    first, second = tmp_path / "a.sg", tmp_path / "b.sg"
+    write_split(s, first)
+    assert first.read_text() == _reference_text(s)
+    write_split(read_split(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    g_first, g_second = tmp_path / "a.g", tmp_path / "b.g"
+    write_graph(s.graph, g_first)
+    assert g_first.read_text() == _reference_text(s.graph)
+    write_graph(read_graph(g_first), g_second)
+    assert g_first.read_bytes() == g_second.read_bytes()
+
+
+def _replace_line(prefix, fn):
+    """Mutation applying fn to the last line starting with prefix, if any."""
+    def mutate(lines):
+        i = max((j for j, line in enumerate(lines) if line.startswith(prefix)), default=None)
+        return lines if i is None else lines[:i] + fn(lines[i]) + lines[i + 1:]
+    return mutate
+
+
+def _header(field, fn):
+    """Mutation applying fn to the value of a header field."""
+    def mutate(lines):
+        toks = lines[1].split()
+        toks[toks.index(field) + 1] = fn(int(toks[toks.index(field) + 1]))
+        return [lines[0], " ".join(toks)] + lines[2:]
+    return mutate
+
+
+def _swap(line):
+    tag, a, b = line.split()
+    return [f"{tag} {b} {a}"]
+
+
+# each mutation maps the canonical lines to a list of lines (LF-joined)
+MUTATIONS = {
+    "canonical": lambda lines: lines,
+    "comment": lambda lines: lines[:1] + ["# made by hand"] + lines[1:],
+    "blank_line": lambda lines: lines[:2] + [""] + lines[2:],
+    "trailing_blank": lambda lines: lines + [""],
+    "indented": lambda lines: lines[:1] + ["  " + lines[1]] + lines[2:],
+    "leading_zero": _replace_line("e ", lambda l: [l.replace(" ", " 0", 1)]),
+    "plus_sign": _replace_line("e ", lambda l: [l.replace(" ", " +", 1)]),
+    "double_space": _replace_line("e ", lambda l: [l.replace(" ", "  ", 1)]),
+    "truncated": lambda lines: lines[:-1],
+    "extra_line": lambda lines: lines + [lines[-1]],
+    "duplicate_edge": _replace_line("e ", lambda l: [l, l]),
+    "out_of_order": lambda lines: lines[:-2] + lines[-1:] + lines[-2:-1],
+    "u_not_below_v": _replace_line("e ", _swap),
+    "endpoint_too_big": _replace_line("e ", lambda l: [l.rsplit(" ", 1)[0] + " 99999"]),
+    "blob_too_big": _replace_line("b ", lambda l: [l.rsplit(" ", 1)[0] + " 99999"]),
+    "skipped_vertex": _replace_line("b ", lambda l: ["b 99999 " + l.split()[2]]),
+    "edge_count_high": _header("e", lambda x: str(x + 1)),
+    "edge_count_low": _header("e", lambda x: str(max(x - 1, 0))),
+    "vertex_count_high": _header("v", lambda x: str(x + 1)),
+    "vertex_count_negative": _header("v", lambda x: "-3"),
+    "edge_count_negative": _header("e", lambda x: "-3"),
+    "vertex_count_huge": _header("v", lambda x: "1000000000000"),
+    "edge_count_huge": _header("e", lambda x: "1000000000000"),
+    "number_18_digits": _header("e", lambda x: "1" + "0" * 17),
+    "bad_header": lambda lines: [lines[0] + " x"] + lines[1:],
+    "bad_tag": _replace_line("e ", lambda l: ["x" + l[1:]]),
+}
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ParseError as exc:
+        return ("ParseError", exc.line)
+    except SplitfreeError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@pytest.mark.parametrize("name", ["c6_paired", "affine2", "star10", "edgeless"])
+def test_bulk_parse_matches_line_scanner(name, mutation, tmp_path, monkeypatch):
+    s = _constructions()[name]
+    for obj, write, read, scan in ((s, write_split, read_split, graphs._scan_split),
+                                   (s.graph, write_graph, read_graph, graphs._scan_graph)):
+        path = tmp_path / "f"
+        write(obj, path)
+        text = "\n".join(MUTATIONS[mutation](path.read_text().splitlines())) + "\n"
+        for newline in ("\n", "\r\n"):
+            path.write_bytes(text.replace("\n", newline).encode())
+            expected = _outcome(scan, path)
+            assert _outcome(read, path) == expected
+            if mutation == "canonical":
+                assert expected == obj
+        if mutation == "canonical":   # canonical files never reach the scanner
+            path.write_text(text)
+            with monkeypatch.context() as m:
+                m.setattr(graphs, scan.__name__, None)
+                assert read(path) == obj
+
+
+def test_header_counts_checked_before_allocation(tmp_path):
+    path = tmp_path / "bad.sg"
+    for vcount, line in (("-3", 2), ("1000000000000", 2), ("1000", 4)):
+        path.write_text(f"splitgraph 1\nn 1 k 1 v {vcount} e 0\nb 0 0\n")
+        with pytest.raises(ParseError) as info:
+            read_split(path)
+        assert info.value.line == line
+    path.write_text("graph 1\nv 1000000000000 e 0\n")
+    with pytest.raises(ParseError):
+        read_graph(path)
+    # a blob count far above the vertex count is an empty blob, not an allocation
+    path.write_text("splitgraph 1\nn 1000000000000 k 1 v 1 e 0\nb 0 0\n")
+    with pytest.raises(InvariantViolation, match="blob 1 is empty"):
+        read_split(path)
