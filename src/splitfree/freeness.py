@@ -155,12 +155,10 @@ class BicliqueWitness:
 def _pair_with_common_at_least(g: Graph, t: int) -> tuple[int, int] | None:
     """Lexicographically smallest vertex pair with >= t common neighbors.
 
-    Wedges (u, c, w) with u < w, encoded u*V+w, are generated from the CSR
-    arrays for a block of consecutive low endpoints u at a time, sorted and
-    scanned for a run of t equal keys.  A pair's wedges all fall in its low
-    endpoint's block and blocks ascend in u, so the first block with a run
-    holds the answer.  A block holds at most WEDGE_BLOCK wedges unless one
-    low endpoint alone has more.
+    Wedges (u, c, w) with u < w, keyed u*V+w, are built from the CSR arrays for blocks of
+    consecutive low endpoints u (at most WEDGE_BLOCK wedges unless one u alone has more),
+    sorted and scanned for a run of t equal keys.  A pair's wedges all fall in its low
+    endpoint's block and blocks ascend in u, so the first block with a run holds the answer.
     """
     V = g.V
     indptr, nb = g.csr()
@@ -178,10 +176,8 @@ def _pair_with_common_at_least(g: Graph, t: int) -> tuple[int, int] | None:
         count = indptr[c + 1] - lo
         total = int(count.sum())
         if total >= t:
-            pos = np.repeat(lo - (np.cumsum(count) - count), count)
-            pos += np.arange(total)
-            keys = nb[pos]
-            keys += np.repeat(u * V, count)
+            pos = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(total)
+            keys = nb[pos] + np.repeat(u * V, count)
             keys.sort()
             runs = keys[t - 1:] == keys[:total - t + 1]
             if runs.any():

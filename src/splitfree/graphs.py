@@ -43,11 +43,14 @@ class Graph:
         self._set_keys(np.minimum(e[:, 0], e[:, 1]) * self.V + np.maximum(e[:, 0], e[:, 1]))
 
     @classmethod
-    def from_edge_keys(cls, vertex_count: int, keys: np.ndarray) -> "Graph":
-        """Graph of the encoded edges u*V+v (u < v); may sort `keys` in place."""
+    def from_edge_keys(cls, vertex_count: int, keys: np.ndarray, unique: bool = True) -> "Graph":
+        """Graph of the edges keyed u*V+v (u < v); may sort `keys` in place. Repeats are
+        an InvariantViolation unless `unique` is False."""
         g = cls.__new__(cls)
         g.V = int(vertex_count)
         g._set_keys(keys)
+        if unique and g.M != len(keys):
+            raise InvariantViolation("duplicate edge keys")
         return g
 
     def _set_keys(self, keys: np.ndarray) -> None:
@@ -314,7 +317,7 @@ def restrict_blobs(s: SplitGraph, n_target: int) -> SplitGraph:
 def contract_blobs(s: SplitGraph) -> Graph:
     """Simple graph on the blobs: two blobs adjacent iff some edge crosses them."""
     keys, _ = _cross_pair_keys(s)
-    return Graph.from_edge_keys(s.n, keys)
+    return Graph.from_edge_keys(s.n, keys, unique=False)
 
 
 def two_coloring(g: Graph) -> np.ndarray | None:
@@ -393,17 +396,17 @@ def write_graph(g: Graph, path) -> None:
 
 # Bulk parsing of exactly the form the writers emit, integers cut at 17 digits
 # so np.fromstring cannot saturate.  Anything else (comments, blank lines, CRLF,
-# signs, leading zeros, bad ids or order) goes to the line scanner.
+# signs, leading zeros, bad ids or order) goes to the line scanner.  Rows are
+# matched 1024 at a time: re keeps state for each repeat of a group, ~280 B.
 _UINT = rb"(?:0|[1-9][0-9]{0,16})"
 _SPLIT_HEADER = re.compile(rb"splitgraph 1\nn (%s) k (%s) v (%s) e (%s)\n" % ((_UINT,) * 4))
 _GRAPH_HEADER = re.compile(rb"graph 1\nv (%s) e (%s)\n" % (_UINT, _UINT))
-_ROWS = {tag: re.compile(rb"(?:%s %s %s\n)*+" % (tag, _UINT, _UINT)) for tag in (b"b", b"e")}
+_ROWS = {t: re.compile(rb"(?:%s %s %s\n){0,1024}" % (t, _UINT, _UINT)) for t in (b"b", b"e")}
 
 
 def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
-    """Header numbers and one (count, 2) array per row tag, the counts being
-    the header's last numbers; None unless the rows are all there and the
-    edges (the last tag) are canonical."""
+    """Header numbers and one (count, 2) array per row tag, the counts being the header's
+    last numbers; None unless the rows are all there and the edges (last tag) are canonical."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = header.match(data)
@@ -412,7 +415,9 @@ def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
     nums = [int(x) for x in head.groups()]
     pos, sections = head.end(), []
     for tag, count in zip(tags, nums[-len(tags):]):
-        end = _ROWS[tag].match(data, pos).end()
+        end = pos
+        while (nxt := _ROWS[tag].match(data, end).end()) > end:
+            end = nxt
         rows = np.fromstring(data[pos:end].translate(None, tag), dtype=np.int64, sep=" ")
         if len(rows) != 2 * count:
             return None

@@ -2,6 +2,8 @@
 pruning, restriction, contraction, and file round trips."""
 
 import functools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,6 +380,13 @@ def test_bulk_parse_matches_line_scanner(name, mutation, tmp_path, monkeypatch):
                 assert read(path) == obj
 
 
+def test_from_edge_keys_rejects_repeats_unless_merging():
+    keys = np.array([6, 1, 6], dtype=np.int64)
+    with pytest.raises(InvariantViolation, match="duplicate edge keys"):
+        Graph.from_edge_keys(4, keys.copy())
+    assert Graph.from_edge_keys(4, keys, unique=False) == build_graph(4, [(0, 1), (1, 2)])
+
+
 def test_header_counts_checked_before_allocation(tmp_path):
     path = tmp_path / "bad.sg"
     for vcount, line in (("-3", 2), ("1000000000000", 2), ("1000", 4)):
@@ -392,3 +401,30 @@ def test_header_counts_checked_before_allocation(tmp_path):
     path.write_text("splitgraph 1\nn 1000000000000 k 1 v 1 e 0\nb 0 0\n")
     with pytest.raises(InvariantViolation, match="blob 1 is empty"):
         read_split(path)
+
+
+def test_bulk_parse_long_file_in_bounded_memory(tmp_path):
+    # rows are matched in runs: a file of many runs parses whole, and the
+    # matcher's memory does not grow with the number of lines
+    g = complete_graph(300)
+    path = tmp_path / "k300.g"
+    write_graph(g, path)
+    tracemalloc.start()
+    try:
+        parsed = graphs._bulk_parse(path, graphs._GRAPH_HEADER, (b"e",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed is not None and np.array_equal(parsed[1][0], g.edges)
+    assert peak < 8 * path.stat().st_size
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-2] + lines[-1:] + lines[-2:-1]) + "\n")
+    with pytest.raises(ParseError) as info:
+        read_graph(path)
+    assert info.value.line == len(lines)
+
+
+def test_bulk_patterns_parse_before_python_3_11():
+    # possessive quantifiers and atomic groups are errors before Python 3.11
+    for pat in (graphs._SPLIT_HEADER, graphs._GRAPH_HEADER, *graphs._ROWS.values()):
+        assert not re.search(rb"[*+?}]\+|\(\?>", pat.pattern)
