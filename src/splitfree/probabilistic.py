@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHost, ParameterError
+from .errors import DegenerateHost, ParameterError, SizeGuard
 from .graphs import Graph, SplitGraph, prune_to_split
 
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
+MC_EDGE_CHUNK = 1 << 10  # edges OR-reduced at a time; memory only, not the result
+MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's int64 color array
 
 
 def _trial_rng(seed: int, t: int) -> np.random.Generator:
@@ -124,22 +126,45 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
     """Monte Carlo estimate of the probability that no host edge gets the
     color pair {0, 1} under a uniform n-coloring.  Batch b of MC_BATCH
     samples uses the trial rng (seed, b), so the estimate depends only on
-    (host, n, samples, seed)."""
+    (host, n, samples, seed).
+
+    Each batch is drawn by one call (drawing it in pieces would change the
+    stream) and bit-sliced across samples: bit s of the word row zero[x]
+    (one[x]) is set when sample s gives vertex x color 0 (1).  A sample is
+    bicolored when some edge has its bit set in
+    (zero[u] & one[v]) | (one[u] & zero[v]); the edges are OR-reduced
+    MC_EDGE_CHUNK at a time, so no (batch, M) array is built.
+    """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if n < 2:
         raise ParameterError(f"need n >= 2 colors, got {n}")
+    batch_bytes = min(samples, MC_BATCH) * host.V * 8
+    if batch_bytes > MAX_MC_BATCH_BYTES:
+        raise SizeGuard(
+            f"a Monte Carlo batch of {min(samples, MC_BATCH)} colorings of {host.V} "
+            f"vertices needs {batch_bytes} bytes; guard is {MAX_MC_BATCH_BYTES}")
     u = host.edges[:, 0]
     v = host.edges[:, 1]
+    code = np.array([1, 2, 0], dtype=np.uint8)  # colors 0, 1 and (clipped) the rest
     failures = 0
     done = 0
     batch_index = 0
     while done < samples:
         size = min(MC_BATCH, samples - done)
         colors = _trial_rng(seed, batch_index).integers(0, n, size=(size, host.V))
-        cu, cv = colors[:, u], colors[:, v]
-        bicolored = ((cu == 0) & (cv == 1)) | ((cu == 1) & (cv == 0))
-        failures += int((~bicolored.any(axis=1)).sum())
+        sliced = np.zeros((host.V, -(-size // 64) * 64), dtype=np.uint8)  # zero padding
+        sliced[:, :size] = np.take(code, colors, mode="clip").T
+        del colors
+        zero = np.packbits(sliced & 1, axis=1, bitorder="little").view(np.uint64)
+        one = np.packbits(sliced & 2, axis=1, bitorder="little").view(np.uint64)
+        hit = np.zeros(zero.shape[1], dtype=np.uint64)
+        for lo in range(0, host.M, MC_EDGE_CHUNK):
+            cu, cv = u[lo:lo + MC_EDGE_CHUNK], v[lo:lo + MC_EDGE_CHUNK]
+            rows = zero[cu] & one[cv]
+            rows |= one[cu] & zero[cv]
+            hit |= np.bitwise_or.reduce(rows, axis=0)
+        failures += size - int(np.unpackbits(hit.view(np.uint8)).sum())
         done += size
         batch_index += 1
     p_hat = failures / samples
@@ -188,18 +213,25 @@ def random_split(host: Graph, n: int, k_cap: int, trials: int,
     total_pairs = n * (n - 1) // 2
     eu = host.edges[:, 0]
     ev = host.edges[:, 1]
+    # with fewer edges than class pairs no trial can cover them all, and the
+    # n*n coverage buffer is allocated only when one might
+    covered = np.zeros(n * n, dtype=bool) if host.M >= total_pairs else None
     size_failures = 0
     pair_failures = 0
     for t in range(trials):
-        colors = _trial_rng(seed, t).integers(0, n, size=host.V).astype(np.int64)
+        colors = _trial_rng(seed, t).integers(0, n, size=host.V)
         sizes = np.bincount(colors, minlength=n)
         if sizes.min() == 0 or sizes.max() > k_cap:
             size_failures += 1
             continue
+        if covered is None:
+            pair_failures += 1
+            continue
         bu, bv = colors[eu], colors[ev]
-        cross = bu != bv
-        keys = np.minimum(bu, bv)[cross] * n + np.maximum(bu, bv)[cross]
-        if len(np.unique(keys)) != total_pairs:
+        covered[:] = False
+        covered[np.minimum(bu, bv) * n + np.maximum(bu, bv)] = True
+        covered[::n + 1] = False  # edges inside one class
+        if np.count_nonzero(covered) != total_pairs:
             pair_failures += 1
             continue
         lax = SplitGraph(host, colors, n, int(sizes.max()))

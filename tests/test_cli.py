@@ -197,3 +197,12 @@ def test_malformed_header_counts_exit_1(capsys, tmp_path):
                      ["restrict", "--input", str(path), "--n", "1"]):
             code, result = invoke(capsys, *argv)
             assert code == 1 and result["error"]["type"] == "ParseError"
+
+
+def test_estimate_size_guard_exit_1(capsys, tmp_path):
+    host = tmp_path / "wide.g"
+    write_graph(Graph(10000, np.array([[0, 1]])), host)  # one batch: 16384*10000*8 B
+    code, result = invoke(capsys, "estimate", "--input", str(host), "--n", "2",
+                          "--samples", "16384", "--seed", "0")
+    assert code == 1 and not result["passed"]
+    assert result["error"]["type"] == "SizeGuard"

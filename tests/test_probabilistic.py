@@ -4,16 +4,23 @@ sampling, and the degree-trimming procedure."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
-from splitfree.errors import DegenerateHost, ParameterError
-from splitfree.graphs import Graph, build_graph, verify_split
+from splitfree import probabilistic
+from splitfree.constructions import build_affine_split
+from splitfree.errors import DegenerateHost, ParameterError, SizeGuard
+from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, verify_split
 from splitfree.freeness import is_c4_free
 from splitfree.probabilistic import (
+    MC_BATCH,
     FailureStats,
+    PairFailureEstimate,
     TuranProfile,
     concentration_report,
     estimate_pair_failure,
@@ -157,9 +164,6 @@ def test_random_split_failure_stats(c6):
 
 
 def test_random_split_accepted_outputs_are_host_subgraphs():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
     @given(st.integers(0, 10 ** 6), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
     def prop(seed, n):
@@ -260,3 +264,168 @@ def test_trim_validation():
         trim_max_degree(two_c10s(), PROFILE, q_override=2)
     with pytest.raises(ParameterError):
         trim_max_degree(Graph(2, np.empty((0, 2), np.int64)), PROFILE)
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced Monte Carlo and sort-free pair coverage against the dense code
+# ---------------------------------------------------------------------------
+
+def _reference_rng(seed: int, t: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+
+
+def reference_estimate_pair_failure(host: Graph, n: int, samples: int,
+                                    seed: int) -> PairFailureEstimate:
+    """Oracle: the dense estimator, which gathers the endpoint colors of every
+    (sample, edge) pair from the same draws as estimate_pair_failure."""
+    u = host.edges[:, 0]
+    v = host.edges[:, 1]
+    failures = 0
+    done = 0
+    batch_index = 0
+    while done < samples:
+        size = min(MC_BATCH, samples - done)
+        colors = _reference_rng(seed, batch_index).integers(0, n, size=(size, host.V))
+        cu, cv = colors[:, u], colors[:, v]
+        bicolored = ((cu == 0) & (cv == 1)) | ((cu == 1) & (cv == 0))
+        failures += int((~bicolored.any(axis=1)).sum())
+        done += size
+        batch_index += 1
+    p_hat = failures / samples
+    return PairFailureEstimate(
+        estimate=p_hat,
+        stderr=math.sqrt(p_hat * (1.0 - p_hat) / samples),
+        samples=samples, seed=seed)
+
+
+def reference_random_split(host: Graph, n: int, k_cap: int, trials: int,
+                           seed: int) -> SplitGraph | FailureStats:
+    """Oracle: the rejection sampler with covered class pairs counted by
+    np.unique, on the same draws as random_split."""
+    total_pairs = n * (n - 1) // 2
+    eu = host.edges[:, 0]
+    ev = host.edges[:, 1]
+    size_failures = 0
+    pair_failures = 0
+    for t in range(trials):
+        colors = _reference_rng(seed, t).integers(0, n, size=host.V).astype(np.int64)
+        sizes = np.bincount(colors, minlength=n)
+        if sizes.min() == 0 or sizes.max() > k_cap:
+            size_failures += 1
+            continue
+        bu, bv = colors[eu], colors[ev]
+        cross = bu != bv
+        keys = np.minimum(bu, bv)[cross] * n + np.maximum(bu, bv)[cross]
+        if len(np.unique(keys)) != total_pairs:
+            pair_failures += 1
+            continue
+        lax = SplitGraph(host, colors, n, int(sizes.max()))
+        return prune_to_split(lax)
+    return FailureStats(
+        trials=trials, size_failures=size_failures, pair_failures=pair_failures,
+        janson=janson_diagnostics(host, n) if host.M and n >= 2 else None,
+        concentration=concentration_report(host.V, n) if n >= 2 else None)
+
+
+@st.composite
+def small_hosts(draw, max_vertices=12):
+    """A host on n..max_vertices vertices (some isolated) and n colors; the
+    edge density runs from edgeless to complete."""
+    n = draw(st.integers(2, 8))
+    V = draw(st.integers(n, max_vertices))
+    pairs = [(i, j) for i in range(V) for j in range(i + 1, V)]
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = [e for e in pairs if rng.random() < density]
+    return build_graph(V, edges), n
+
+
+def assert_same_split_result(result, expected):
+    if isinstance(expected, FailureStats):
+        assert isinstance(result, FailureStats)
+        assert result.to_dict() == expected.to_dict()
+        return
+    assert not isinstance(result, FailureStats)
+    assert result.n == expected.n and result.k == expected.k
+    assert np.array_equal(result.graph.edges, expected.graph.edges)
+    assert np.array_equal(result.blob_of, expected.blob_of)
+
+
+@given(small_hosts(), st.sampled_from([1, 63, 64, 65, MC_BATCH, MC_BATCH + 1]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_estimate_matches_dense_reference(host_n, samples, seed):
+    host, n = host_n
+    got = estimate_pair_failure(host, n, samples, seed)
+    want = reference_estimate_pair_failure(host, n, samples, seed)
+    assert got.to_dict() == want.to_dict()
+
+
+@given(small_hosts(), st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_random_split_matches_unique_reference(host_n, k_cap, trials, seed):
+    host, n = host_n
+    assert_same_split_result(random_split(host, n, k_cap, trials, seed),
+                             reference_random_split(host, n, k_cap, trials, seed))
+
+
+def test_edge_cases_match_references(c6):
+    edgeless = Graph(6, np.empty((0, 2), np.int64))
+    sparse = build_graph(9, [(0, 1), (2, 3)])  # isolated vertices, M < C(n, 2)
+    cases = [(c6, 2, 6), (c6, 3, 2), (c6, 6, 1), (edgeless, 2, 6), (edgeless, 1, 6),
+             (sparse, 3, 9), (sparse, 2, 9), (build_graph(4, [(0, 1), (2, 3), (0, 3)]), 2, 4)]
+    for host, n, k_cap in cases:
+        for seed in range(5):
+            assert_same_split_result(random_split(host, n, k_cap, 30, seed),
+                                     reference_random_split(host, n, k_cap, 30, seed))
+    for host, n, samples in ((edgeless, 2, 65), (sparse, 4, MC_BATCH + 1), (c6, 8, 63),
+                             (c6, 10 ** 12, 65)):  # no table of n entries
+        assert estimate_pair_failure(host, n, samples, 3).to_dict() == \
+            reference_estimate_pair_failure(host, n, samples, 3).to_dict()
+
+
+def test_estimate_pinned_value_on_h3():
+    # recorded with the dense estimator; the bit-sliced one must reproduce it
+    host = prune_to_split(build_affine_split(3)).graph
+    assert estimate_pair_failure(host, 9, 300000, 13).estimate == 0.0020766666666666668
+
+
+def test_estimate_peak_memory_is_one_color_batch():
+    # the dense estimator needed about 16 * 4096 * M bytes (~0.5 GB) here
+    host = prune_to_split(build_affine_split(5)).graph
+    samples = 4096
+    tracemalloc.start()
+    try:
+        estimate_pair_failure(host, 20, samples, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * samples * host.V * 8
+
+
+def test_random_split_without_enough_edges_allocates_no_pair_buffer():
+    n, V = 3000, 60000
+    host = build_graph(V, np.column_stack((np.arange(V - 1), np.arange(1, V))))
+    assert host.M < n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        result = random_split(host, n, V, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(result, FailureStats)
+    assert result.size_failures == 0 and result.pair_failures == 3  # sizes passed
+    assert peak < n * n // 2
+    assert result.to_dict() == reference_random_split(host, n, V, 3, 0).to_dict()
+
+
+def test_estimate_size_guard_before_drawing(monkeypatch):
+    host = Graph(10000, np.empty((0, 2), np.int64))
+    with pytest.raises(SizeGuard):
+        estimate_pair_failure(host, 2, MC_BATCH, 0)  # 16384 * 10000 * 8 B > 1 GiB
+    # the bound is exact: 64 samples of 10 vertices fit, 65 do not
+    monkeypatch.setattr(probabilistic, "MAX_MC_BATCH_BYTES", 64 * 10 * 8)
+    small = Graph(10, np.empty((0, 2), np.int64))
+    assert estimate_pair_failure(small, 2, 64, 0).estimate == 1.0
+    with pytest.raises(SizeGuard):
+        estimate_pair_failure(small, 2, 65, 0)
