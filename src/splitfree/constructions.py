@@ -30,6 +30,7 @@ from .fields import Field, is_prime, make_quadratic_field
 from .graphs import Graph, SplitGraph, prune_to_split, restrict_blobs
 
 MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 edges
+MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
 
 
 class PrimeSearch(NamedTuple):
@@ -177,6 +178,12 @@ def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
     return prune_to_split(restrict_blobs(build_affine_split(p, max_p), n))
 
 
+def _check_pairs(n: int, what: str) -> None:
+    if n * (n - 1) // 2 > MAX_SPLIT_PAIRS:
+        raise SizeGuard(f"{what} split for n={n} has {n * (n - 1) // 2} edges; "
+                        f"guard is {MAX_SPLIT_PAIRS}")
+
+
 # ---------------------------------------------------------------------------
 # Bipartite 2-split
 # ---------------------------------------------------------------------------
@@ -187,6 +194,7 @@ def build_bipartite_split(n: int) -> SplitGraph:
     blobs i < j joins red_i to blue_j."""
     if n < 2:
         raise ParameterError(f"bipartite split needs n >= 2, got {n}")
+    _check_pairs(n, "bipartite")
     i, j = np.triu_indices(n, k=1)
     edges = np.column_stack((2 * i.astype(np.int64), 2 * j.astype(np.int64) + 1))
     return SplitGraph(Graph(2 * n, edges), np.arange(2 * n, dtype=np.int64) // 2, n, 2)
@@ -261,6 +269,7 @@ def build_star_free_split(n: int, t: int) -> SplitGraph:
     k = ceil(R/(t-1)) for R round-robin rounds, grouped equitably."""
     if n < 3 or t < 2:
         raise ParameterError(f"star-free split needs n >= 3 and t >= 2, got ({n}, {t})")
+    _check_pairs(n, "star-free")
     rr = round_robin_coloring(n)
     rounds = rr.colors
     k = -(-rounds // (t - 1))

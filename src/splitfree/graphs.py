@@ -22,11 +22,13 @@ from .errors import (
     NotALaxSplit,
     ParameterError,
     ParseError,
+    SizeGuard,
     TargetTooLarge,
 )
 
 BITSET_THRESHOLD = 1 << 16  # packed adjacency rows are built only below this
 MAX_VERTICES = math.isqrt(2 ** 63 - 1)  # edge keys u*V+v must fit in int64
+MAX_FILE_VERTICES = 1 << 24  # guard on a file header's vertex count: O(V) arrays follow
 
 
 class Graph:
@@ -55,12 +57,14 @@ class Graph:
 
     def _set_keys(self, keys: np.ndarray) -> None:
         """The one canonicalization: ascending keys are taken as they are,
-        others are sorted and deduplicated."""
+        others are sorted in place, and copied only to drop repeats."""
         if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
             keys.sort()
-            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-        self.edges = np.column_stack(np.divmod(keys, self.V))
+            if not (keys[1:] != keys[:-1]).all():
+                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
         self.M = len(keys)
+        self.edges = np.empty((self.M, 2), dtype=np.int64)
+        np.divmod(keys, self.V, out=(self.edges[:, 0], self.edges[:, 1]))
         self._indptr = self._indices = self._adjsets = self._bitrows = None
 
     def degrees(self) -> np.ndarray:
@@ -406,13 +410,15 @@ _ROWS = {t: re.compile(rb"(?:%s %s %s\n){0,1024}" % (t, _UINT, _UINT)) for t in 
 
 def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
     """Header numbers and one (count, 2) array per row tag, the counts being the header's
-    last numbers; None unless the rows are all there and the edges (last tag) are canonical."""
+    last numbers; None unless the rows are all there and the edges (last tag) are canonical.
+    Header counts are checked before anything is read by them."""
     with open(path, "rb") as fh:
         data = fh.read()
     head = header.match(data)
     if head is None:
         return None
     nums = [int(x) for x in head.groups()]
+    _check_counts(2, *nums[-2:])
     pos, sections = head.end(), []
     for tag, count in zip(tags, nums[-len(tags):]):
         end = pos
@@ -424,7 +430,7 @@ def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
         sections.append(rows.reshape(-1, 2))
         pos = end
     vcount, (u, v) = nums[-2], sections[-1].T
-    if pos < len(data) or vcount > MAX_VERTICES or not (v < vcount).all() \
+    if pos < len(data) or not (v < vcount).all() \
             or not (u < v).all() or not (np.diff(u * vcount + v) > 0).all():
         return None
     return nums, sections
@@ -485,6 +491,8 @@ def _read_edges(reader: _LineReader, count: int, vertex_count: int) -> np.ndarra
 def _check_counts(lineno: int, vcount: int, ecount: int) -> None:
     if not (0 <= vcount <= MAX_VERTICES and ecount >= 0):
         raise ParseError(lineno, f"need 0 <= vertex count <= {MAX_VERTICES} and edge count >= 0")
+    if vcount > MAX_FILE_VERTICES:
+        raise SizeGuard(f"line {lineno}: {vcount} vertices; guard is {MAX_FILE_VERTICES}")
 
 
 def read_split(path) -> SplitGraph:

@@ -25,7 +25,7 @@ from .graphs import Graph, SplitGraph, prune_to_split
 
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
 MC_EDGE_CHUNK = 1 << 10  # edges OR-reduced at a time; memory only, not the result
-MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's int64 color array
+MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's colors, counted at 8 B each
 
 
 def _trial_rng(seed: int, t: int) -> np.random.Generator:
@@ -129,7 +129,10 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
     (host, n, samples, seed).
 
     Each batch is drawn by one call (drawing it in pieces would change the
-    stream) and bit-sliced across samples: bit s of the word row zero[x]
+    stream), as uint32 when n <= 2**32: numpy draws both uint32 and int64
+    in that range by the same 32-bit Lemire method, so the values are equal.
+    Colors are clipped to 0, 1 and 2 (the rest) and bit-sliced across
+    samples: bit s of the word row zero[x]
     (one[x]) is set when sample s gives vertex x color 0 (1).  A sample is
     bicolored when some edge has its bit set in
     (zero[u] & one[v]) | (one[u] & zero[v]); the edges are OR-reduced
@@ -137,8 +140,8 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
     """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
-    if n < 2:
-        raise ParameterError(f"need n >= 2 colors, got {n}")
+    if not 2 <= n < 1 << 63:
+        raise ParameterError(f"need 2 <= n < 2**63 colors, got {n}")
     batch_bytes = min(samples, MC_BATCH) * host.V * 8
     if batch_bytes > MAX_MC_BATCH_BYTES:
         raise SizeGuard(
@@ -146,18 +149,20 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
             f"vertices needs {batch_bytes} bytes; guard is {MAX_MC_BATCH_BYTES}")
     u = host.edges[:, 0]
     v = host.edges[:, 1]
-    code = np.array([1, 2, 0], dtype=np.uint8)  # colors 0, 1 and (clipped) the rest
+    dtype = np.uint32 if n <= 1 << 32 else np.int64
     failures = 0
     done = 0
     batch_index = 0
     while done < samples:
         size = min(MC_BATCH, samples - done)
-        colors = _trial_rng(seed, batch_index).integers(0, n, size=(size, host.V))
-        sliced = np.zeros((host.V, -(-size // 64) * 64), dtype=np.uint8)  # zero padding
-        sliced[:, :size] = np.take(code, colors, mode="clip").T
+        colors = _trial_rng(seed, batch_index).integers(0, n, size=(size, host.V), dtype=dtype)
+        np.minimum(colors, 2, out=colors)
+        sliced = np.full((host.V, -(-size // 64) * 64), 2, dtype=np.uint8)  # padding: neither
+        for lo in range(0, host.V, 64):  # narrow casts keep each transposed block in cache
+            sliced[lo:lo + 64, :size] = colors[:, lo:lo + 64].astype(np.uint8).T
         del colors
-        zero = np.packbits(sliced & 1, axis=1, bitorder="little").view(np.uint64)
-        one = np.packbits(sliced & 2, axis=1, bitorder="little").view(np.uint64)
+        zero = np.packbits(sliced == 0, axis=1, bitorder="little").view(np.uint64)
+        one = np.packbits(sliced == 1, axis=1, bitorder="little").view(np.uint64)
         hit = np.zeros(zero.shape[1], dtype=np.uint64)
         for lo in range(0, host.M, MC_EDGE_CHUNK):
             cu, cv = u[lo:lo + MC_EDGE_CHUNK], v[lo:lo + MC_EDGE_CHUNK]

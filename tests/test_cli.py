@@ -1,8 +1,12 @@
 """CLI behavior: exit codes, JSON results, self-verification, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from splitfree.cli import run
 from splitfree.constructions import EdgeColoring, write_coloring
@@ -11,6 +15,8 @@ from conftest import cycle_graph
 
 import numpy as np
 from splitfree.graphs import Graph, SplitGraph
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def invoke(capsys, *argv):
@@ -206,3 +212,40 @@ def test_estimate_size_guard_exit_1(capsys, tmp_path):
                           "--samples", "16384", "--seed", "0")
     assert code == 1 and not result["passed"]
     assert result["error"]["type"] == "SizeGuard"
+
+
+WIDE_HOST = "graph 1\nv 3000000000 e 1\ne 0 1\n"  # 3e9 isolated vertices in three lines
+GUARDED = {
+    "diagnose_wide": ["diagnose", "--input", "{wide}", "--n", "2"],
+    "trim_wide": ["trim", "--input", "{wide}", "--b", "1.5"],
+    "random_split_wide": ["random-split", "--input", "{wide}", "--n", "2"],
+    "estimate_huge_n": ["estimate", "--input", "{host}", "--n", "100000000000000000000"],
+    "bipartite_huge_n": ["construct", "bipartite", "--n", "100000000"],
+    "bounds_c5_huge_n": ["bounds", "--forbidden", "C5", "--n", "100000000", "--certify"],
+    "star_huge_n": ["construct", "star", "--n", "1000000", "--t", "3"],
+    "bounds_s3_huge_n": ["bounds", "--forbidden", "S3", "--n", "1000000", "--certify"],
+}
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_oversized_requests_refused_before_allocation(name, tmp_path):
+    # under a 2 GiB address-space limit and a 30 s timeout, so an allocation
+    # or a long build shows as a failure instead of swapping the machine
+    wide, host = tmp_path / "wide.g", tmp_path / "c6.g"
+    wide.write_text(WIDE_HOST)
+    write_graph(cycle_graph(6), host)
+    argv = [a.format(wide=wide, host=host) for a in GUARDED[name]]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "splitfree.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_limit_address_space)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] in ("SizeGuard", "ParameterError")

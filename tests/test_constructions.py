@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complete_graph
+from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
     build_affine_plane,
@@ -149,6 +150,16 @@ def test_bipartite_split_examples():
     assert contains_subgraph(s50.graph, parse_forbidden_spec("C5")) is None
     with pytest.raises(ParameterError):
         build_bipartite_split(1)
+
+
+def test_bipartite_and_star_size_guard(monkeypatch):
+    # refused from n(n-1)/2 before anything of that size is built; huge n is
+    # run in a memory-limited child in test_cli
+    monkeypatch.setattr(constructions, "MAX_SPLIT_PAIRS", 45)  # exactly n = 10
+    assert build_bipartite_split(10).graph.M == build_star_free_split(10, 3).graph.M == 45
+    for build in (build_bipartite_split, lambda n: build_star_free_split(n, 3)):
+        with pytest.raises(SizeGuard):
+            build(11)
 
 
 def two_c5_coloring() -> EdgeColoring:

@@ -18,6 +18,7 @@ from splitfree.errors import (
     LoopEdge,
     NotALaxSplit,
     ParseError,
+    SizeGuard,
     SplitfreeError,
     TargetTooLarge,
 )
@@ -401,6 +402,43 @@ def test_header_counts_checked_before_allocation(tmp_path):
     path.write_text("splitgraph 1\nn 1000000000000 k 1 v 1 e 0\nb 0 0\n")
     with pytest.raises(InvariantViolation, match="blob 1 is empty"):
         read_split(path)
+
+
+def test_file_vertex_guard_before_allocation(tmp_path, monkeypatch):
+    # isolated vertices cost nothing in a file but O(V) in every array sized by V
+    path = tmp_path / "wide.g"
+    for text in ("graph 1\nv 3000000000 e 1\ne 0 1\n",               # bulk path
+                 "# comment\ngraph 1\nv 3000000000 e 1\ne 0 1\n"):  # line scanner
+        path.write_text(text)
+        with pytest.raises(SizeGuard, match="3000000000 vertices"):
+            read_graph(path)
+    monkeypatch.setattr(graphs, "MAX_FILE_VERTICES", 4)
+    path.write_text("graph 1\nv 4 e 1\ne 0 1\n")
+    assert read_graph(path) == build_graph(4, [(0, 1)])
+    path.write_text("graph 1\nv 5 e 1\ne 0 1\n")
+    with pytest.raises(SizeGuard):
+        read_graph(path)
+    path = tmp_path / "wide.sg"
+    path.write_text("splitgraph 1\nn 1 k 5 v 5 e 0\n" + "".join(f"b {v} 0\n" for v in range(5)))
+    with pytest.raises(SizeGuard):
+        read_split(path)
+
+
+def test_from_edge_keys_peak_is_below_three_key_arrays():
+    # keys are sorted in place, not copied when unique, and divided straight
+    # into the (M, 2) edge array: no divmod pair or column_stack copy
+    V = 700
+    u, v = np.triu_indices(V, k=1)
+    keys = u * V + v
+    np.random.default_rng(5).shuffle(keys)
+    tracemalloc.start()
+    try:
+        g = Graph.from_edge_keys(V, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.edges, np.column_stack((u, v)))
+    assert peak < 3 * 8 * g.M
 
 
 def test_bulk_parse_long_file_in_bounded_memory(tmp_path):

@@ -400,7 +400,27 @@ def test_estimate_peak_memory_is_one_color_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * samples * host.V * 8
+    assert peak < samples * host.V * 8  # below one int64 color batch
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32])
+def test_uint32_draw_equals_int64_draw(n):
+    # estimate_pair_failure draws uint32 colors for n <= 2**32 and relies on
+    # numpy giving the int64 values (uint8 and uint16 draws do differ)
+    for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
+        wide = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65))
+        narrow = probabilistic._trial_rng(seed, batch).integers(
+            0, n, size=(33, 65), dtype=np.uint32)
+        assert np.array_equal(wide, narrow)
+
+
+def test_estimate_color_count_range(c6):
+    # n around the uint32 / int64 switch and at the int64 limit
+    for n in (2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1):
+        assert estimate_pair_failure(c6, n, 65, 2).to_dict() == \
+            reference_estimate_pair_failure(c6, n, 65, 2).to_dict()
+    with pytest.raises(ParameterError):
+        estimate_pair_failure(c6, 2 ** 63, 1, 0)
 
 
 def test_random_split_without_enough_edges_allocates_no_pair_buffer():
