@@ -30,8 +30,14 @@ def _is_tree(h: ForbiddenGraph) -> bool:
     return g.M == g.V - 1 and int(connected_components(g).max()) == 0
 
 
-def _tree_edge_count(h: ForbiddenGraph) -> int:
-    return h.graph.M
+def _family(h: ForbiddenGraph) -> tuple[str, tuple]:
+    """(kind, params) with C4 read as K2,2 and K1,t as the star S_t."""
+    kind, params = h.kind, h.params
+    if kind == "cycle" and params[0] == 4:
+        kind, params = "biclique", (2, 2)
+    if kind == "biclique" and params[0] == 1:
+        kind, params = "star", (params[1],)
+    return kind, params
 
 
 def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
@@ -45,11 +51,7 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     """
     if ell < h.graph.V:
         raise ParameterError(f"need ell >= {h.graph.V} vertices, got {ell}")
-    kind, params = h.kind, h.params
-    if kind == "cycle" and params[0] == 4:
-        kind, params = "biclique", (2, 2)
-    if kind == "biclique" and params[0] == 1:
-        kind, params = "star", (params[1],)
+    kind, params = _family(h)
     if kind == "biclique" and params[0] == 2:
         t = params[1]
         disc = 4 * (t - 1) * (ell - 1) + 1
@@ -60,7 +62,7 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
         exact = ell * (t - 1) // 2
         return exact, exact
     if kind == "path" or (kind == "explicit" and _is_tree(h)):
-        t = _tree_edge_count(h)
+        t = h.graph.M
         cliques, rest = divmod(ell, t)
         low = cliques * (t * (t - 1) // 2) + rest * (rest - 1) // 2
         return low, ell * (t - 1)
@@ -163,11 +165,7 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
                 report.achieved_k = 2
         return report
 
-    kind, params = h.kind, h.params
-    if kind == "cycle" and params[0] == 4:
-        kind, params = "biclique", (2, 2)
-    if kind == "biclique" and params[0] == 1:
-        kind, params = "star", (params[1],)
+    kind, params = _family(h)
 
     f_lower = necessary_k_lower(h, n)
     target = n * (n - 1) // 2
@@ -215,7 +213,7 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
         return report
 
     if kind == "path" or (kind == "explicit" and _is_tree(h)):
-        t = _tree_edge_count(h)
+        t = h.graph.M
         return BoundReport(
             forbidden=h.spec, n=n, f_lower=f_lower,
             f_lower_provenance=lower_prov,

@@ -276,8 +276,6 @@ def _cmd_bounds(args) -> tuple[int, dict]:
 
 def _add_common(p, output=True):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap; results never depend on it")
     if output:
         p.add_argument("-o", "--output", default=None)
 
@@ -292,35 +290,25 @@ def build_parser() -> _Parser:
     p = csub.add_parser("affine")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--max-p", type=int, default=None)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--forbidden", default=None)
-    _add_common(p)
 
     p = csub.add_parser("c4pipeline")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-p", type=int, default=None)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--forbidden", default=None)
-    _add_common(p)
 
     p = csub.add_parser("bipartite")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--forbidden", default=None)
-    _add_common(p)
 
     p = csub.add_parser("star")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--forbidden", default=None)
-    _add_common(p)
 
     p = csub.add_parser("from-coloring")
     p.add_argument("--input", required=True)
-    p.add_argument("--no-verify", action="store_true")
-    p.add_argument("--forbidden", default=None)
-    _add_common(p)
+
+    for p in csub.choices.values():
+        p.add_argument("--no-verify", action="store_true")
+        p.add_argument("--forbidden", default=None)
+        _add_common(p)
 
     p = sub.add_parser("random-split")
     p.add_argument("--input", required=True)

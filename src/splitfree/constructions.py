@@ -68,23 +68,6 @@ class AffinePlane:
     def q(self) -> int:
         return self.field.order
 
-    @property
-    def point_count(self) -> int:
-        return self.q ** 2
-
-    @property
-    def line_count(self) -> int:
-        return self.q ** 2
-
-    def points_on_line(self, m_index: int, b_index: int) -> np.ndarray:
-        """Point ids on the line of slope index m and intercept index b."""
-        p, q = self.field.p, self.q
-        xi = np.arange(q, dtype=np.int64)
-        x0, x1 = xi % p, xi // p
-        mx0, mx1 = self.field.mul_arrays(m_index % p, m_index // p, x0, x1)
-        y0, y1 = self.field.add_arrays(mx0, mx1, b_index % p, b_index // p)
-        return xi * q + (y1 * p + y0)
-
     def incidence_graph(self) -> Graph:
         """Bipartite point-line incidence graph on 2*q^2 vertices, q^3 edges."""
         p, q = self.field.p, self.q

@@ -70,9 +70,6 @@ class Field:
             raise ElementOutOfField(f"{a} has a nonzero extension coefficient in GF({self.p})")
         return a
 
-    def element(self, c0: int, c1: int = 0) -> FieldElement:
-        return self.check(FieldElement(c0, c1))
-
     @property
     def zero(self) -> FieldElement:
         return FieldElement(0, 0)
@@ -120,10 +117,6 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def elements(self) -> list[FieldElement]:
-        """All elements in canonical order (ascending c1*p + c0); stable across runs."""
-        return [self.from_index(i) for i in range(self.order)]
 
     def index(self, a: FieldElement) -> int:
         self.check(a)

@@ -76,8 +76,15 @@ def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
 # Backtracking oracle
 # ---------------------------------------------------------------------------
 
-def contains_subgraph(g: Graph, h: ForbiddenGraph,
-                      cap: int = ORACLE_PATTERN_CAP) -> dict[int, int] | None:
+def _neighbor_sets(g: Graph) -> list[set[int]]:
+    sets = [set() for _ in range(g.V)]
+    for u, v in g.edges.tolist():
+        sets[u].add(v)
+        sets[v].add(u)
+    return sets
+
+
+def contains_subgraph(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
     """First embedding of h into g (pattern vertex -> host vertex), or None.
 
     Pattern vertices are tried in a static high-degree-first order; host
@@ -86,19 +93,19 @@ def contains_subgraph(g: Graph, h: ForbiddenGraph,
     embedding is deterministic.
     """
     hg = h.graph
-    if hg.V > cap:
-        raise PatternTooLarge(f"pattern has {hg.V} > {cap} vertices")
+    if hg.V > ORACLE_PATTERN_CAP:
+        raise PatternTooLarge(f"pattern has {hg.V} > {ORACLE_PATTERN_CAP} vertices")
     if hg.V > g.V or hg.M > g.M:
         return None
 
-    h_adj = hg.adjacency_sets()
+    h_adj = _neighbor_sets(hg)
     h_deg = [len(a) for a in h_adj]
     order = sorted(range(hg.V), key=lambda v: (-h_deg[v], v))
     pos_of = {v: i for i, v in enumerate(order)}
     # pattern neighbors of order[i] that are placed before step i
     earlier = [[w for w in h_adj[v] if pos_of[w] < i] for i, v in enumerate(order)]
 
-    g_adj = g.adjacency_sets()
+    g_adj = _neighbor_sets(g)
     g_deg = g.degrees()
     image = [-1] * hg.V
     used: set[int] = set()
@@ -206,6 +213,10 @@ def _kst_enumerate(g: Graph, s: int, t: int) -> BicliqueWitness | None:
             f"exhaustive K_{{s,t}} search capped at {KST_ENUM_CAP} vertices, host has {g.V}")
     deg = g.degrees()
     candidates = [v for v in range(g.V) if deg[v] >= t]
+    bitrow = [0] * g.V  # bit i of bitrow[v] set iff i is adjacent to v
+    for u, w in g.edges.tolist():
+        bitrow[u] |= 1 << w
+        bitrow[w] |= 1 << u
 
     def extend(chosen: list[int], common: int, start: int) -> BicliqueWitness | None:
         if len(chosen) == s:
@@ -218,7 +229,7 @@ def _kst_enumerate(g: Graph, s: int, t: int) -> BicliqueWitness | None:
             return BicliqueWitness(tuple(chosen), tuple(right))
         for idx in range(start, len(candidates)):
             v = candidates[idx]
-            nxt = common & g.bitrow(v) if chosen else g.bitrow(v)
+            nxt = common & bitrow[v] if chosen else bitrow[v]
             if nxt.bit_count() >= t:
                 found = extend(chosen + [v], nxt, idx + 1)
                 if found is not None:

@@ -26,7 +26,6 @@ from .errors import (
     TargetTooLarge,
 )
 
-BITSET_THRESHOLD = 1 << 16  # packed adjacency rows are built only below this
 MAX_VERTICES = math.isqrt(2 ** 63 - 1)  # edge keys u*V+v must fit in int64
 MAX_FILE_VERTICES = 1 << 24  # guard on a file header's vertex count: O(V) arrays follow
 
@@ -35,8 +34,9 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..V-1.
 
     Edges are held as a canonical (M, 2) int64 array with u < v, sorted
-    lexicographically.  Adjacency structures (CSR neighbor lists, per-vertex
-    neighbor sets, packed bitset rows) are built lazily.
+    lexicographically.  The only adjacency structure is the CSR neighbor
+    lists, built on first use; neighbor queries, edge tests and common
+    neighbors all read it.
     """
 
     def __init__(self, vertex_count: int, edges: np.ndarray):
@@ -65,7 +65,7 @@ class Graph:
         self.M = len(keys)
         self.edges = np.empty((self.M, 2), dtype=np.int64)
         np.divmod(keys, self.V, out=(self.edges[:, 0], self.edges[:, 1]))
-        self._indptr = self._indices = self._adjsets = self._bitrows = None
+        self._indptr = self._indices = None
 
     def degrees(self) -> np.ndarray:
         d = np.zeros(self.V, dtype=np.int64)
@@ -90,43 +90,14 @@ class Graph:
         indptr, indices = self.csr()
         return indices[indptr[v]:indptr[v + 1]]
 
-    def adjacency_sets(self) -> list[set[int]]:
-        if self._adjsets is None:
-            sets = [set() for _ in range(self.V)]
-            for u, v in self.edges.tolist():
-                sets[u].add(v)
-                sets[v].add(u)
-            self._adjsets = sets
-        return self._adjsets
-
     def has_edge(self, u: int, v: int) -> bool:
         nb = self.neighbors(u)
         i = np.searchsorted(nb, v)
         return i < len(nb) and nb[i] == v
 
-    def bitrow(self, v: int) -> int:
-        """Neighbors of v as a Python-int bitset (bit i set iff i adjacent to v)."""
-        if self._bitrows is None:
-            if self.V > BITSET_THRESHOLD:
-                raise InvariantViolation(
-                    f"bitset rows unavailable for V={self.V} > {BITSET_THRESHOLD}")
-            rows = [0] * self.V
-            for u, w in self.edges.tolist():
-                rows[u] |= 1 << w
-                rows[w] |= 1 << u
-            self._bitrows = rows
-        return self._bitrows[v]
-
     def common_neighbors(self, u: int, v: int) -> np.ndarray:
-        if self.V <= BITSET_THRESHOLD:
-            inter = self.bitrow(u) & self.bitrow(v)
-            out = []
-            while inter:
-                low = inter & -inter
-                out.append(low.bit_length() - 1)
-                inter ^= low
-            return np.asarray(out, dtype=np.int64)
-        return np.intersect1d(self.neighbors(u), self.neighbors(v))
+        """Sorted ids adjacent to both u and v."""
+        return np.intersect1d(self.neighbors(u), self.neighbors(v), assume_unique=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,11 +156,6 @@ class SplitGraph:
     def blob_sizes(self) -> np.ndarray:
         return np.bincount(self.blob_of, minlength=self.n)
 
-    def blob_members(self) -> list[np.ndarray]:
-        order = np.argsort(self.blob_of, kind="stable")
-        sizes = self.blob_sizes()
-        return np.split(order, np.cumsum(sizes)[:-1])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SplitGraph)
@@ -225,18 +191,16 @@ class VerificationReport:
         }
 
 
-def _cross_pair_keys(s: SplitGraph) -> tuple[np.ndarray, int]:
-    """Encoded keys i*n+j (i<j) of the blob pairs crossed by each edge, plus
-    the count of intra-blob edges."""
+def _cross_pair_keys(s: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded keys i*n+j (i<j) of the blob pairs crossed by the crossing
+    edges, plus the mask of crossing edges (False for intra-blob ones)."""
     e = s.graph.edges
-    if not len(e):
-        return np.empty(0, dtype=np.int64), 0
     bu = s.blob_of[e[:, 0]]
     bv = s.blob_of[e[:, 1]]
     cross = bu != bv
     i = np.minimum(bu, bv)[cross]
     j = np.maximum(bu, bv)[cross]
-    return i * s.n + j, int((~cross).sum())
+    return i * s.n + j, cross
 
 
 def _missing_pairs(present_sorted: np.ndarray, n: int) -> list[tuple[int, int]]:
@@ -256,7 +220,8 @@ def verify_split(s: SplitGraph, mode: str = "strict") -> VerificationReport:
     reported, never raised."""
     if mode not in ("strict", "lax"):
         raise ParameterError(f"mode must be 'strict' or 'lax', got {mode!r}")
-    keys, internal = _cross_pair_keys(s)
+    keys, _ = _cross_pair_keys(s)
+    internal = s.graph.M - len(keys)
     present, counts = np.unique(keys, return_counts=True)
     total_pairs = s.n * (s.n - 1) // 2
     if len(present) == total_pairs:
@@ -284,12 +249,8 @@ def prune_to_split(s: SplitGraph) -> SplitGraph:
     the input on the same vertices and blobs, so any freeness property of
     the input is preserved.
     """
-    e = s.graph.edges
-    bu = s.blob_of[e[:, 0]] if len(e) else np.empty(0, np.int64)
-    bv = s.blob_of[e[:, 1]] if len(e) else np.empty(0, np.int64)
-    cross = bu != bv
-    ec = e[cross]
-    keys = np.minimum(bu, bv)[cross] * s.n + np.maximum(bu, bv)[cross]
+    keys, cross = _cross_pair_keys(s)
+    ec = s.graph.edges[cross]
     order = np.lexsort((ec[:, 1], ec[:, 0], keys))
     keys = keys[order]
     ec = ec[order]
@@ -324,28 +285,13 @@ def contract_blobs(s: SplitGraph) -> Graph:
     return Graph.from_edge_keys(s.n, keys, unique=False)
 
 
-def two_coloring(g: Graph) -> np.ndarray | None:
-    """A proper 2-coloring of the vertices (0/1 array), or None if none exists."""
-    color = np.full(g.V, -1, dtype=np.int64)
-    for start in range(g.V):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v).tolist():
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
-
-
-def connected_components(g: Graph) -> np.ndarray:
-    """Component label per vertex; labels are dense, ordered by smallest member."""
+def _search(g: Graph) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Stack search from each unlabeled vertex in id order.  Returns the component
+    label per vertex (dense, ordered by smallest member), a 0/1 color that flips
+    along every search edge, and whether some edge joins two equal colors."""
     label = np.full(g.V, -1, dtype=np.int64)
+    color = np.zeros(g.V, dtype=np.int64)
+    clash = False
     current = 0
     for start in range(g.V):
         if label[start] != -1:
@@ -357,9 +303,23 @@ def connected_components(g: Graph) -> np.ndarray:
             for w in g.neighbors(v).tolist():
                 if label[w] == -1:
                     label[w] = current
+                    color[w] = 1 - color[v]
                     stack.append(w)
+                elif color[w] == color[v]:
+                    clash = True
         current += 1
-    return label
+    return label, color, clash
+
+
+def two_coloring(g: Graph) -> np.ndarray | None:
+    """A proper 2-coloring of the vertices (0/1 array), or None if none exists."""
+    _, color, clash = _search(g)
+    return None if clash else color
+
+
+def connected_components(g: Graph) -> np.ndarray:
+    """Component label per vertex; labels are dense, ordered by smallest member."""
+    return _search(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,10 @@ def test_criterion_11_determinism(capsys, tmp_path):
         host = tmp_path / "host.g"
         write_graph(seeded_corpus(count=1, n=24, p=0.4, seed=3)[0], host)
         outs = []
-        for rep, threads in ((0, "1"), (1, "4")):
+        for rep in range(2):
             out = tmp_path / f"r{rep}.sg"
             code, result = cli(capsys, "random-split", "--input", host, "--n", 4,
-                               "--k-cap", 12, "--trials", 200, "--seed", 7,
-                               "--threads", threads, "-o", out)
+                               "--k-cap", 12, "--trials", 200, "--seed", 7, "-o", out)
             assert code == 0 and result["accepted"]
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from splitfree.cli import run
+from splitfree.cli import build_parser, run
 from splitfree.constructions import EdgeColoring, write_coloring
 from splitfree.graphs import read_split, write_graph, write_split
 from conftest import cycle_graph
@@ -169,6 +169,19 @@ def test_usage_errors(capsys):
     assert run(["verify", "--input", "/nonexistent.sg"]) == 2
     err = capsys.readouterr().err
     assert err.count("usage error") == 5
+
+
+def test_construct_shared_flags_and_no_threads(capsys):
+    required = {"affine": ["--p", "2"], "c4pipeline": ["--n", "8"], "bipartite": ["--n", "3"],
+                "star": ["--n", "4", "--t", "3"], "from-coloring": ["--input", "c.ec"]}
+    for name, args in required.items():
+        ns = build_parser().parse_args(["construct", name, *args, "--no-verify",
+                                        "--forbidden", "C5", "--seed", "3", "-o", "x.sg"])
+        assert (ns.no_verify, ns.forbidden, ns.seed, ns.output) == (True, "C5", 3, "x.sg")
+        assert run(["construct", name, *args, "--threads", "1"]) == 2
+    for argv in (["verify", "--input", "x.sg"], ["estimate", "--input", "x.g", "--n", "3"]):
+        assert run(argv + ["--threads", "4"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --threads") == 7
 
 
 def test_deterministic_outputs(capsys, tmp_path):

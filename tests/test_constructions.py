@@ -45,16 +45,21 @@ def test_next_prime_examples():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_affine_plane_invariants(p):
     plane = build_affine_plane(p)
-    q = p * p
-    assert plane.point_count == plane.line_count == q * q
+    f, q = plane.field, p * p
     g = plane.incidence_graph()
     assert g.V == 2 * q * q and g.M == q ** 3
     deg = g.degrees()
     assert (deg == q).all()  # every point on q lines, every line has q points
-    # lines of one parallel class partition the points
-    for m in range(q):
-        seen = np.concatenate([plane.points_on_line(m, b) for b in range(q)])
-        assert len(np.unique(seen)) == q * q == len(seen)
+    # the points of line y = m*x + b, by scalar field arithmetic (not mul_arrays),
+    # are its neighbors; the lines of one parallel class partition the points
+    elems = [f.from_index(i) for i in range(q)]
+    for mi, m in enumerate(elems):
+        seen = []
+        for bi, b in enumerate(elems):
+            on_line = sorted(xi * q + f.index(f.add(f.mul(m, x), b)) for xi, x in enumerate(elems))
+            assert g.neighbors(q * q + mi * q + bi).tolist() == on_line
+            seen += on_line
+        assert sorted(seen) == list(range(q * q))
     assert is_c4_free(g) is None
     assert two_coloring(g) is not None  # incidence graphs are bipartite
 
@@ -74,9 +79,9 @@ def test_affine_split_blob_structure(p):
     assert s.n == p ** 3 and s.k == 2 * p
     assert s.graph.V == 2 * q * q
     assert (s.blob_sizes() == 2 * p).all()
-    # each blob: p points and p lines
-    for members in s.blob_members():
-        assert int((members < q * q).sum()) == p
+    # each blob: p points (ids below q^2) and p lines
+    assert (np.bincount(s.blob_of[:q * q], minlength=s.n) == p).all()
+    assert (np.bincount(s.blob_of[q * q:], minlength=s.n) == p).all()
     assert verify_split(s, "lax").passed
     assert is_c4_free(s.graph) is None
 

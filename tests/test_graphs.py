@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_split_census, complete_graph, cycle_graph
+from conftest import brute_split_census, complete_graph, cycle_graph, seeded_corpus
 from splitfree import graphs
 from splitfree.errors import (
     EndpointOutOfRange,
@@ -50,18 +50,41 @@ def test_build_graph_examples():
         build_graph(3, [(1, 1)])
 
 
-def test_common_neighbors_and_bitrows(monkeypatch):
+def test_common_neighbors_and_has_edge():
     g = build_graph(5, [(0, 1), (0, 2), (3, 1), (3, 2), (0, 4)])
     assert g.common_neighbors(0, 3).tolist() == [1, 2]
-    assert g.bitrow(0) == (1 << 1) | (1 << 2) | (1 << 4)
-    assert g.has_edge(0, 4) and not g.has_edge(1, 2)
+    assert g.common_neighbors(1, 2).tolist() == [0, 3]
+    assert g.common_neighbors(0, 4).tolist() == []
+    assert g.common_neighbors(0, 3).dtype == np.int64
+    assert g.has_edge(0, 4) and g.has_edge(4, 0) and not g.has_edge(1, 2)
+    assert not g.has_edge(4, 3)  # past the end of a neighbor row
 
-    # above the bitset threshold the neighbor-list route answers the same
-    monkeypatch.setattr(graphs, "BITSET_THRESHOLD", 3)
-    small = Graph(5, g.edges)
-    assert small.common_neighbors(0, 3).tolist() == [1, 2]
-    with pytest.raises(InvariantViolation):
-        small.bitrow(0)
+
+def brute_neighbor_sets(g: Graph) -> list[set[int]]:
+    sets = [set() for _ in range(g.V)]
+    for u, v in g.edges.tolist():
+        sets[u].add(v)
+        sets[v].add(u)
+    return sets
+
+
+def test_common_neighbors_match_set_intersection():
+    rng = np.random.default_rng(11)
+    hosts = seeded_corpus(count=20, n=25, p=0.3, seed=4)
+    # a sparse host above 2^16 vertices: random edges among a few hubs' rows
+    V = (1 << 16) + 37
+    hubs = rng.choice(V, size=40, replace=False)
+    ends = rng.integers(0, V, size=(4000, 2))
+    ends[:, 0] = hubs[ends[:, 0] % len(hubs)]
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    hosts.append(build_graph(V, ends))
+    for g in hosts:
+        adj = brute_neighbor_sets(g)
+        busy = np.flatnonzero(g.degrees())
+        pairs = rng.choice(busy, size=(300, 2))
+        for u, v in pairs.tolist() + [(int(busy[0]), int(busy[0]))]:
+            assert g.common_neighbors(u, v).tolist() == sorted(adj[u] & adj[v])
+            assert g.has_edge(u, v) == (v in adj[u])
 
 
 def test_verify_split_examples():
@@ -172,6 +195,36 @@ def test_two_coloring_and_components():
     assert col is not None and (col[e[:, 0]] != col[e[:, 1]]).all()
     labels = connected_components(build_graph(5, [(0, 1), (2, 3)]))
     assert labels.tolist() == [0, 0, 1, 1, 2]
+    assert two_coloring(Graph(0, np.empty((0, 2)))).tolist() == []
+    assert connected_components(Graph(3, np.empty((0, 2)))).tolist() == [0, 1, 2]
+
+
+def test_two_coloring_and_components_match_networkx():
+    nx = pytest.importorskip("networkx")
+    hosts = seeded_corpus(count=40, n=30, p=0.06, seed=8)
+    hosts += [cycle_graph(7), cycle_graph(8), build_graph(9, [(0, 1), (1, 2), (5, 6)])]
+    # even cycles and trees, so that bipartite hosts with several components occur
+    rng = np.random.default_rng(8)
+    for V in (12, 31, 50):
+        parent = [int(rng.integers(0, v)) for v in range(1, V)]
+        tree = [(p, v) for v, p in enumerate(parent, start=1)]
+        hosts.append(build_graph(V, [e for e in tree if rng.random() < 0.7]))
+    seen = set()
+    for g in hosts:
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.V))
+        ng.add_edges_from(g.edges.tolist())
+        color = two_coloring(g)
+        assert (color is not None) == nx.is_bipartite(ng)
+        if color is not None:
+            assert set(color.tolist()) <= {0, 1}
+            assert (color[g.edges[:, 0]] != color[g.edges[:, 1]]).all()
+        labels = connected_components(g)
+        expected = sorted(sorted(c) for c in nx.connected_components(ng))
+        assert [np.flatnonzero(labels == i).tolist()
+                for i in range(int(labels.max()) + 1)] == expected
+        seen.add((color is not None, int(labels.max()) > 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""Smoke runs of the experiment scripts under scripts/, as subprocesses."""
+"""Smoke runs of the experiment scripts under scripts/, as subprocesses, and a
+check that the benchmark's per-layer trace targets still name real functions."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -43,3 +46,19 @@ def test_build_catalog(tmp_path):
     assert all(r["verified"] and r.get("free", True) for r in records)
     assert proc.stdout.splitlines()[-1] == \
         f"4 splits written to {out}/; summary in {out / 'catalog.json'}"
+
+
+def test_trace_targets_resolve():
+    """Every perfbench/tracer.py TARGETS entry names a function of the loaded package,
+    looked up the way `install()` looks it up (without installing any shim)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, (attr, _, _) in tracer.TARGETS.items():
+        owner = importlib.import_module(f"splitfree.{name.split('.')[0]}")
+        *cls, fn_name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        raw = vars(owner).get(fn_name)
+        assert callable(raw) or isinstance(raw, classmethod), f"{name}: {attr} not found"
