@@ -70,7 +70,7 @@ def main():
     for n in args.pipeline:
         t0 = time.time()
         rec = entry(f"pipeline_n{n}", construct_c4_free_split(n), "strict", "C4", args.out)
-        rec["bounds"] = split_bounds(parse_forbidden_spec("C4"), n).to_dict()
+        rec["bounds"] = split_bounds(parse_forbidden_spec("C4"), n)
         records.append(rec)
         print(f"pipeline n={n}: k={rec['k']} ({time.time() - t0:.2f}s)")
 
@@ -87,7 +87,7 @@ def main():
         print(f"bipartite n={n}")
 
     summary = args.out / "catalog.json"
-    summary.write_text(json.dumps(records, indent=2) + "\n")
+    summary.write_text(json.dumps(records, indent=2, default=vars) + "\n")
     bad = [r for r in records if not r["verified"] or not r.get("free", True)]
     print(f"\n{len(records)} splits written to {args.out}/; summary in {summary}")
     if bad:

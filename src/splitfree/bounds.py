@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .constructions import (
     build_bipartite_split,
     build_star_free_split,
     construct_c4_free_split,
     pipeline_parameters,
+    star_blob_size,
 )
 from .errors import ParameterError, UnsupportedFamily
 from .freeness import ForbiddenGraph, check_forbidden
@@ -103,19 +105,6 @@ class BoundReport:
     achieved_k: int | None = None
     notes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "forbidden": self.forbidden,
-            "n": self.n,
-            "f_lower": self.f_lower,
-            "f_lower_provenance": self.f_lower_provenance,
-            "f_upper": self.f_upper,
-            "f_upper_provenance": self.f_upper_provenance,
-            "f_upper_certified": self.f_upper_certified,
-            "achieved_k": self.achieved_k,
-            "notes": self.notes,
-        }
-
 
 _STRICTNESS_NOTE = ("lower bound follows the convention f >= k when "
                     "ex(nk, H) < n(n-1)/2; the strict inequality would "
@@ -136,10 +125,6 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
     hg = h.graph
-    if int(hg.degrees().max(initial=0)) < 2:
-        raise UnsupportedFamily(
-            f"f(n, {h.spec}) is undefined: every split contains a single edge")
-
     if two_coloring(hg) is None:  # non-bipartite target
         if n < hg.V:
             return BoundReport(
@@ -179,52 +164,36 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
         lower_prov = (f"no k is excluded: ex({n}, {h.spec}) <= {at_k} already "
                       f"reaches {target}; trivial bound k >= 1")
 
+    builder = None  # builds the upper-bound construction for --certify
     if kind == "biclique" and params[0] == 2:
         if n < 8:
-            return BoundReport(
-                forbidden=h.spec, n=n, f_lower=f_lower,
-                f_lower_provenance=lower_prov,
-                f_upper=None, f_upper_provenance="pipeline needs n >= 8",
-                f_upper_certified=False, notes=[_STRICTNESS_NOTE])
-        _, _, p = pipeline_parameters(n)
-        report = BoundReport(
-            forbidden=h.spec, n=n, f_lower=f_lower,
-            f_lower_provenance=lower_prov,
-            f_upper=2 * p,
-            f_upper_provenance=f"affine-plane pipeline: prime p={p}, blob size 2p",
-            f_upper_certified=True, notes=[_STRICTNESS_NOTE])
-        if certify:
-            _certify(construct_c4_free_split(n), h, report)
-        return report
-
-    if kind == "star":
+            f_upper, upper_prov, certified = None, "pipeline needs n >= 8", False
+        else:
+            p = pipeline_parameters(n)[2]
+            f_upper, certified = 2 * p, True
+            upper_prov = f"affine-plane pipeline: prime p={p}, blob size 2p"
+            builder = partial(construct_c4_free_split, n)
+    elif kind == "star":
         t = params[0]
-        rounds = n - 1 if n % 2 == 0 else n
-        k_star = -(-rounds // (t - 1))
-        report = BoundReport(
-            forbidden=h.spec, n=n, f_lower=f_lower,
-            f_lower_provenance=lower_prov,
-            f_upper=k_star,
-            f_upper_provenance=f"round-robin rounds grouped {k_star} ways, "
-                               f"each group at most {t - 1} matchings",
-            f_upper_certified=True, notes=[_STRICTNESS_NOTE])
-        if certify:
-            _certify(build_star_free_split(n, t), h, report)
-        return report
+        f_upper, certified = star_blob_size(n, t), True
+        upper_prov = (f"round-robin rounds grouped {f_upper} ways, "
+                      f"each group at most {t - 1} matchings")
+        builder = partial(build_star_free_split, n, t)
+    elif kind == "path" or (kind == "explicit" and _is_tree(h)):
+        f_upper, certified = 2 * (n - 1) / (h.graph.M - 1), False
+        upper_prov = ("tree Ramsey-coloring bound 2(n-1)/(t-1); no construction "
+                      "built (supply an edge coloring to certify)")
+    else:
+        raise UnsupportedFamily(
+            f"{h.spec}: neither a construction nor a certified finite bound available")
 
-    if kind == "path" or (kind == "explicit" and _is_tree(h)):
-        t = h.graph.M
-        return BoundReport(
-            forbidden=h.spec, n=n, f_lower=f_lower,
-            f_lower_provenance=lower_prov,
-            f_upper=2 * (n - 1) / (t - 1),
-            f_upper_provenance="tree Ramsey-coloring bound 2(n-1)/(t-1); "
-                               "no construction built (supply an edge coloring "
-                               "to certify)",
-            f_upper_certified=False, notes=[_STRICTNESS_NOTE])
-
-    raise UnsupportedFamily(
-        f"{h.spec}: neither a construction nor a certified finite bound available")
+    report = BoundReport(
+        forbidden=h.spec, n=n, f_lower=f_lower, f_lower_provenance=lower_prov,
+        f_upper=f_upper, f_upper_provenance=upper_prov,
+        f_upper_certified=certified, notes=[_STRICTNESS_NOTE])
+    if certify and builder is not None:
+        _certify(builder(), h, report)
+    return report
 
 
 @dataclass
@@ -235,11 +204,6 @@ class RamseyBounds:
     upper: int        # 2kt + 1
     star_exact: int   # k(t-1) + epsilon
     epsilon: int      # 1 iff k and t both even, else 2
-
-    def to_dict(self) -> dict:
-        return {"t": self.t, "k": self.k, "lower": self.lower,
-                "upper": self.upper, "star_exact": self.star_exact,
-                "epsilon": self.epsilon}
 
 
 def ramsey_bounds(t: int, k: int) -> RamseyBounds:

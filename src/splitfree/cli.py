@@ -42,20 +42,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sniff_header(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+def _sniff_header(path) -> bytes:
+    """First token of the first non-comment line, compared as bytes: decoding
+    (and rejecting undecodable lines) is the reader's job."""
+    with open(path, "rb") as fh:
         for raw in fh:
             text = raw.strip()
-            if text and not text.startswith("#"):
+            if text and not text.startswith(b"#"):
                 return text.split()[0]
-    return ""
+    return b""
 
 
 def _load_host(path) -> Graph:
     """Host graph for diagnostics: a `graph 1` file, or the graph part of a
     `splitgraph 1` file."""
     kind = _sniff_header(path)
-    if kind == "splitgraph":
+    if kind == b"splitgraph":
         return read_split(path).graph
     return read_graph(path)
 
@@ -87,7 +89,7 @@ def _construct_result(args, split: SplitGraph, construction: str, params: dict,
         write_split(split, args.output)
     if not args.no_verify:
         report = verify_split(split, mode)
-        out["verification"] = report.to_dict()
+        out["verification"] = report
         if construction == "bipartite" and args.forbidden is None:
             fr = {"spec": "any non-bipartite graph",
                   "free": two_coloring(split.graph) is not None,
@@ -137,7 +139,7 @@ def _cmd_random_split(args) -> tuple[int, dict]:
         "trials": args.trials,
     }
     if isinstance(result, prob.FailureStats):
-        out.update(accepted=False, failure_stats=result.to_dict(), passed=False)
+        out.update(accepted=False, failure_stats=result, passed=False)
         return 1, out
     report = verify_split(result, "strict")
     fr = _forbidden_result(result.graph, args.forbidden)
@@ -148,7 +150,7 @@ def _cmd_random_split(args) -> tuple[int, dict]:
         accepted=True,
         k=int(result.blob_sizes().max()),
         output=args.output,
-        verification=report.to_dict(),
+        verification=report,
         forbidden=fr,
         passed=passed,
     )
@@ -164,7 +166,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         "subcommand": "verify",
         "seed": args.seed,
         "passed": passed,
-        "report": report.to_dict(),
+        "report": report,
         "forbidden": fr,
     }
     return (0 if passed else 1), out
@@ -183,7 +185,7 @@ def _cmd_prune(args) -> tuple[int, dict]:
         "k": pruned.k,
         "edges": pruned.graph.M,
         "output": args.output,
-        "verification": report.to_dict(),
+        "verification": report,
         "passed": report.passed,
     }
 
@@ -228,7 +230,7 @@ def _cmd_trim(args) -> tuple[int, dict]:
         if args.output:
             write_graph(result.graph, args.output)
     else:
-        out["certificate"] = result.certificate.to_dict()
+        out["certificate"] = result.certificate
     return 0, out
 
 
@@ -239,8 +241,8 @@ def _cmd_diagnose(args) -> tuple[int, dict]:
     return 0, {
         "subcommand": "diagnose",
         "seed": args.seed,
-        "janson": diag.to_dict(),
-        "concentration": conc.to_dict(),
+        "janson": diag,
+        "concentration": conc,
         "log_convention": "natural logarithm",
         "passed": True,
     }
@@ -253,7 +255,7 @@ def _cmd_estimate(args) -> tuple[int, dict]:
     return 0, {
         "subcommand": "estimate",
         "seed": args.seed,
-        "estimate": est.to_dict(),
+        "estimate": est,
         "bound_pair": diag.bound_pair,
         "passed": True,
     }
@@ -265,13 +267,13 @@ def _cmd_bounds(args) -> tuple[int, dict]:
             raise UsageError("bounds --ramsey requires --t and --k")
         rb = bounds_mod.ramsey_bounds(args.t, args.k)
         return 0, {"subcommand": "bounds", "seed": args.seed,
-                   "ramsey": rb.to_dict(), "passed": True}
+                   "ramsey": rb, "passed": True}
     if args.forbidden is None or args.n is None:
         raise UsageError("bounds requires --forbidden and --n (or --ramsey with --t/--k)")
     h = parse_forbidden_spec(args.forbidden)
     report = bounds_mod.split_bounds(h, args.n, certify=args.certify)
     return 0, {"subcommand": "bounds", "seed": args.seed,
-               "report": report.to_dict(), "passed": True}
+               "report": report, "passed": True}
 
 
 def _add_common(p, output=True):
@@ -394,10 +396,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse -h/--help
         return int(exc.code or 0)
     except SplitfreeError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)},
-                          "passed": False}))
-        return 1
-    print(json.dumps(result))
+        code, result = 1, {"error": {"type": type(exc).__name__, "message": str(exc)},
+                           "passed": False}
+    # reports are dataclasses: each is encoded as its fields in declaration order
+    print(json.dumps(result, default=vars))
     return code
 
 

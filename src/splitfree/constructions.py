@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     ColoringIncomplete,
     ParameterError,
-    PipelineUnderflow,
     SizeGuard,
     TooLarge,
 )
@@ -146,13 +145,7 @@ def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
     """Strict C4-free (n, 2p)-split: affine split -> restrict to n blobs -> prune."""
     if n < 8:
         raise ParameterError(f"pipeline needs n >= 8, got {n}")
-    _, _, p = pipeline_parameters(n)
-    retries = 0
-    while p ** 3 < n and retries < 2:
-        p = next_prime(p + 1).p
-        retries += 1
-    if p ** 3 < n:
-        raise PipelineUnderflow(f"no prime with p^3 >= {n} found near the target")
+    _, _, p = pipeline_parameters(n)  # p^3 >= n: p >= k0, k0^2 >= N and N^3 >= n^2
     limit = MAX_AFFINE_P if max_p is None else max_p
     if p > limit:
         raise SizeGuard(
@@ -247,16 +240,22 @@ def round_robin_coloring(n: int) -> EdgeColoring:
     return EdgeColoring(n, rounds, color_of)
 
 
+def star_blob_size(n: int, t: int) -> int:
+    """k = ceil(R/(t-1)) for the R round-robin rounds of K_n taken at most
+    t-1 to a group."""
+    rounds = n - 1 if n % 2 == 0 else n
+    return -(-rounds // (t - 1))
+
+
 def build_star_free_split(n: int, t: int) -> SplitGraph:
     """Strict (n, k)-split with maximum degree <= t-1 (so no t-leaf star),
-    k = ceil(R/(t-1)) for R round-robin rounds, grouped equitably."""
+    k = star_blob_size(n, t), the round-robin rounds grouped equitably."""
     if n < 3 or t < 2:
         raise ParameterError(f"star-free split needs n >= 3 and t >= 2, got ({n}, {t})")
     _check_pairs(n, "star-free")
     rr = round_robin_coloring(n)
-    rounds = rr.colors
-    k = -(-rounds // (t - 1))
-    base, extra = divmod(rounds, k)
+    k = star_blob_size(n, t)
+    base, extra = divmod(rr.colors, k)
     group_of = np.repeat(np.arange(k), [base + (g < extra) for g in range(k)])
     grouped = EdgeColoring(
         n, k, {pair: int(group_of[r]) for pair, r in rr.color_of.items()})

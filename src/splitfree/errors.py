@@ -14,10 +14,6 @@ class ElementOutOfField(SplitfreeError):
     pass
 
 
-class ZeroInverse(SplitfreeError):
-    pass
-
-
 # graphs
 class EndpointOutOfRange(SplitfreeError):
     pass
@@ -66,10 +62,6 @@ class TooLarge(SplitfreeError):
 
 
 class SizeGuard(SplitfreeError):
-    pass
-
-
-class PipelineUnderflow(SplitfreeError):
     pass
 
 

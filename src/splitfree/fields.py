@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CompositeCharacteristic, ElementOutOfField, ZeroInverse
+from .errors import CompositeCharacteristic, ElementOutOfField
 
 
 class FieldElement(NamedTuple):
@@ -70,21 +70,9 @@ class Field:
             raise ElementOutOfField(f"{a} has a nonzero extension coefficient in GF({self.p})")
         return a
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(0, 0)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(1, 0)
-
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self.check(a), self.check(b)
         return FieldElement((a.c0 + b.c0) % self.p, (a.c1 + b.c1) % self.p)
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self.check(a), self.check(b)
-        return FieldElement((a.c0 - b.c0) % self.p, (a.c1 - b.c1) % self.p)
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self.check(a), self.check(b)
@@ -98,35 +86,6 @@ class Field:
             (a.c0 * b.c0 - hi * r0) % p,
             (a.c0 * b.c1 + a.c1 * b.c0 - hi * r1) % p,
         )
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self.check(a)
-        return FieldElement(-a.c0 % self.p, -a.c1 % self.p)
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self.check(a)
-        if a == self.zero:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        # Fermat: a^(q-2); the exponent is tiny for the field sizes used here.
-        result = self.one
-        base = a
-        e = self.order - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def index(self, a: FieldElement) -> int:
-        self.check(a)
-        return a.c1 * self.p + a.c0
-
-    def from_index(self, i: int) -> FieldElement:
-        if not 0 <= i < self.order:
-            raise ElementOutOfField(f"index {i} outside [0, {self.order})")
-        c1, c0 = divmod(i, self.p)
-        return FieldElement(c0, c1)
 
     # Vectorized coefficient arithmetic on int arrays, used by the affine-plane
     # builder.  No per-element validation; exhaustively cross-checked against

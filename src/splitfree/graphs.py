@@ -179,17 +179,6 @@ class VerificationReport:
     max_blob_size: int = 0
     edge_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "passed": self.passed,
-            "missing_pairs": [list(p) for p in self.missing_pairs],
-            "multi_pairs": self.multi_pairs,
-            "internal_edges": self.internal_edges,
-            "max_blob_size": self.max_blob_size,
-            "edge_count": self.edge_count,
-        }
-
 
 def _cross_pair_keys(s: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
     """Encoded keys i*n+j (i<j) of the blob pairs crossed by the crossing
@@ -399,8 +388,14 @@ def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
 class _LineReader:
     def __init__(self, path):
         self.rows = []  # (lineno, tokens)
-        with open(path, "r", encoding="utf-8") as fh:
+        # undecodable bytes become lone surrogates, which strict encoding rejects
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, start=1):
+                if not raw.isascii():
+                    try:
+                        raw.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(lineno, "line is not valid UTF-8") from None
                 text = raw.strip()
                 if not text or text.startswith("#"):
                     continue

@@ -45,17 +45,6 @@ class JansonDiagnostics:
     bound_union: float
     condition_flag: bool     # 2M >= 12 n^2 ln n
 
-    def to_dict(self) -> dict:
-        return {
-            "M": self.M, "N": self.N, "n": self.n,
-            "max_degree": self.max_degree,
-            "mu": self.mu, "D": self.D,
-            "D_upper_estimate": self.D_upper_estimate,
-            "bound_pair": self.bound_pair,
-            "bound_union": self.bound_union,
-            "condition_flag": self.condition_flag,
-        }
-
 
 def janson_diagnostics(host: Graph, n: int) -> JansonDiagnostics:
     """Exact per-pair failure bound for uniform n-colorings of the host."""
@@ -88,12 +77,6 @@ class ConcentrationReport:
     per_class_bound: float   # exp(-epsilon^2 k / 3)
     union_bound: float       # n * per_class_bound
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "epsilon": self.epsilon, "size_cap": self.size_cap,
-            "per_class_bound": self.per_class_bound, "union_bound": self.union_bound,
-        }
-
 
 def concentration_report(N: int, n: int) -> ConcentrationReport:
     """Blob-size deviation bound for N vertices in n uniform color classes."""
@@ -116,10 +99,6 @@ class PairFailureEstimate:
     stderr: float
     samples: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "stderr": self.stderr,
-                "samples": self.samples, "seed": self.seed}
 
 
 def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairFailureEstimate:
@@ -186,15 +165,6 @@ class FailureStats:
     pair_failures: int   # sizes fine but some class pair spans no edge
     janson: JansonDiagnostics | None          # None for edgeless hosts
     concentration: ConcentrationReport | None  # None for n = 1
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "size_failures": self.size_failures,
-            "pair_failures": self.pair_failures,
-            "janson": self.janson.to_dict() if self.janson else None,
-            "concentration": self.concentration.to_dict() if self.concentration else None,
-        }
 
 
 def random_split(host: Graph, n: int, k_cap: int, trials: int,
@@ -282,18 +252,10 @@ class Case1Certificate:
     at least m/(2(q-1)) edges."""
 
     parts: list[list[int]]
+    part_sizes: list[int]
     j: int                  # in {2..q}, 1-based part label
     union_edge_count: int   # |E(G[A_1 u A_j])|
     lower_bound: float      # m / (2(q-1))
-
-    def to_dict(self) -> dict:
-        return {
-            "parts": [list(p) for p in self.parts],
-            "part_sizes": [len(p) for p in self.parts],
-            "j": self.j,
-            "union_edge_count": self.union_edge_count,
-            "lower_bound": self.lower_bound,
-        }
 
 
 @dataclass
@@ -369,6 +331,6 @@ def trim_max_degree(g: Graph, profile: TuranProfile,
     return TrimResult(
         case=1, q=q,
         certificate=Case1Certificate(
-            parts=parts, j=j_part + 1,
+            parts=parts, part_sizes=[len(p) for p in parts], j=j_part + 1,
             union_edge_count=union_edges,
             lower_bound=m / (2 * (q - 1))))

@@ -218,6 +218,28 @@ def test_malformed_header_counts_exit_1(capsys, tmp_path):
             assert code == 1 and result["error"]["type"] == "ParseError"
 
 
+NON_UTF8 = {  # the byte 0xff on line 3 of each input
+    "verify": (b"splitgraph 1\nn 2 k 1 v 2 e 1\n# \xff\nb 0 0\nb 1 1\ne 0 1\n",
+               ["verify", "--input", "{path}"]),
+    "diagnose": (b"graph 1\nv 2 e 1\ne 0 1 \xff\n", ["diagnose", "--input", "{path}", "--n", "2"]),
+    "from_coloring": (b"coloring 1\nn 2 colors 1\nc 0 1 \xff\n",
+                      ["construct", "from-coloring", "--input", "{path}"]),
+    "forbidden_file": (b"graph 1\nv 2 e 1\n\xffe 0 1\n",
+                       ["bounds", "--forbidden", "file:{path}", "--n", "5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UTF8))
+def test_non_utf8_input_is_parse_error(name, capsys, tmp_path):
+    data, argv = NON_UTF8[name]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    code, result = invoke(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and not result["passed"]
+    assert result["error"] == {"type": "ParseError", "message": "line 3: line is not valid UTF-8"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_estimate_size_guard_exit_1(capsys, tmp_path):
     host = tmp_path / "wide.g"
     write_graph(Graph(10000, np.array([[0, 1]])), host)  # one batch: 16384*10000*8 B

@@ -20,6 +20,7 @@ from splitfree.constructions import (
     pipeline_parameters,
     read_coloring,
     round_robin_coloring,
+    star_blob_size,
     write_coloring,
 )
 from splitfree.errors import (
@@ -29,6 +30,7 @@ from splitfree.errors import (
     SizeGuard,
     TooLarge,
 )
+from splitfree.fields import FieldElement
 from splitfree.freeness import contains_subgraph, is_c4_free, is_kst_free, parse_forbidden_spec
 from splitfree.graphs import connected_components, two_coloring, verify_split, write_split
 
@@ -52,11 +54,12 @@ def test_affine_plane_invariants(p):
     assert (deg == q).all()  # every point on q lines, every line has q points
     # the points of line y = m*x + b, by scalar field arithmetic (not mul_arrays),
     # are its neighbors; the lines of one parallel class partition the points
-    elems = [f.from_index(i) for i in range(q)]
+    elems = [FieldElement(i % p, i // p) for i in range(q)]  # canonical index c1*p + c0
     for mi, m in enumerate(elems):
         seen = []
         for bi, b in enumerate(elems):
-            on_line = sorted(xi * q + f.index(f.add(f.mul(m, x), b)) for xi, x in enumerate(elems))
+            ys = [f.add(f.mul(m, x), b) for x in elems]
+            on_line = sorted(xi * q + y.c1 * p + y.c0 for xi, y in enumerate(ys))
             assert g.neighbors(q * q + mi * q + bi).tolist() == on_line
             seen += on_line
         assert sorted(seen) == list(range(q * q))
@@ -119,6 +122,11 @@ def test_pipeline_parameters_examples():
     assert pipeline_parameters(1000) == (100, 10, 11)
     assert pipeline_parameters(27) == (9, 3, 3)
     assert pipeline_parameters(100000) == (2155, 47, 47)
+
+
+def test_pipeline_prime_cube_covers_n():
+    # p >= k0, k0^2 >= N and N^3 >= n^2 give p^3 >= n, so no larger prime is ever needed
+    assert all(pipeline_parameters(n)[2] ** 3 >= n for n in range(8, 29792))
 
 
 def test_pipeline_small():
@@ -244,6 +252,14 @@ def test_round_robin_is_proper(n):
         assert (i, r) not in seen and (j, r) not in seen  # one edge per vertex per round
         seen.add((i, r))
         seen.add((j, r))
+
+
+def test_star_blob_size_counts_round_robin_rounds():
+    for n in range(3, 30):
+        rounds = round_robin_coloring(n).colors
+        for t in range(2, 8):
+            assert star_blob_size(n, t) == -(-rounds // (t - 1))
+    assert build_star_free_split(9, 3).k == star_blob_size(9, 3) == 5
 
 
 def test_star_free_split_examples():

@@ -159,8 +159,7 @@ def test_random_split_failure_stats(c6):
     assert result.trials == 50
     assert result.size_failures + result.pair_failures == 50
     assert result.janson is not None and result.concentration is not None
-    d = result.to_dict()
-    assert d["janson"]["mu"] == pytest.approx(2 * 6 / 36, rel=1e-12)
+    assert result.janson.mu == pytest.approx(2 * 6 / 36, rel=1e-12)
 
 
 def test_random_split_accepted_outputs_are_host_subgraphs():
@@ -343,7 +342,7 @@ def small_hosts(draw, max_vertices=12):
 def assert_same_split_result(result, expected):
     if isinstance(expected, FailureStats):
         assert isinstance(result, FailureStats)
-        assert result.to_dict() == expected.to_dict()
+        assert result == expected
         return
     assert not isinstance(result, FailureStats)
     assert result.n == expected.n and result.k == expected.k
@@ -358,7 +357,7 @@ def test_estimate_matches_dense_reference(host_n, samples, seed):
     host, n = host_n
     got = estimate_pair_failure(host, n, samples, seed)
     want = reference_estimate_pair_failure(host, n, samples, seed)
-    assert got.to_dict() == want.to_dict()
+    assert got == want
 
 
 @given(small_hosts(), st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
@@ -380,8 +379,8 @@ def test_edge_cases_match_references(c6):
                                      reference_random_split(host, n, k_cap, 30, seed))
     for host, n, samples in ((edgeless, 2, 65), (sparse, 4, MC_BATCH + 1), (c6, 8, 63),
                              (c6, 10 ** 12, 65)):  # no table of n entries
-        assert estimate_pair_failure(host, n, samples, 3).to_dict() == \
-            reference_estimate_pair_failure(host, n, samples, 3).to_dict()
+        assert estimate_pair_failure(host, n, samples, 3) == \
+            reference_estimate_pair_failure(host, n, samples, 3)
 
 
 def test_estimate_pinned_value_on_h3():
@@ -417,8 +416,8 @@ def test_uint32_draw_equals_int64_draw(n):
 def test_estimate_color_count_range(c6):
     # n around the uint32 / int64 switch and at the int64 limit
     for n in (2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1):
-        assert estimate_pair_failure(c6, n, 65, 2).to_dict() == \
-            reference_estimate_pair_failure(c6, n, 65, 2).to_dict()
+        assert estimate_pair_failure(c6, n, 65, 2) == \
+            reference_estimate_pair_failure(c6, n, 65, 2)
     with pytest.raises(ParameterError):
         estimate_pair_failure(c6, 2 ** 63, 1, 0)
 
@@ -436,7 +435,7 @@ def test_random_split_without_enough_edges_allocates_no_pair_buffer():
     assert isinstance(result, FailureStats)
     assert result.size_failures == 0 and result.pair_failures == 3  # sizes passed
     assert peak < n * n // 2
-    assert result.to_dict() == reference_random_split(host, n, V, 3, 0).to_dict()
+    assert result == reference_random_split(host, n, V, 3, 0)
 
 
 def test_estimate_size_guard_before_drawing(monkeypatch):

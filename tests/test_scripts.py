@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts under scripts/, as subprocesses, and a
-check that the benchmark's per-layer trace targets still name real functions."""
+"""Smoke runs of the experiment scripts under scripts/, as subprocesses, and
+checks that the benchmark's set-up builders and per-layer trace targets still
+name real functions."""
 
 import importlib
 import importlib.util
@@ -9,7 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from splitfree.constructions import read_coloring
+from splitfree.graphs import read_split, verify_split
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -51,9 +62,7 @@ def test_build_catalog(tmp_path):
 def test_trace_targets_resolve():
     """Every perfbench/tracer.py TARGETS entry names a function of the loaded package,
     looked up the way `install()` looks it up (without installing any shim)."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_perfbench("tracer")
     assert tracer.TARGETS
     for name, (attr, _, _) in tracer.TARGETS.items():
         owner = importlib.import_module(f"splitfree.{name.split('.')[0]}")
@@ -62,3 +71,19 @@ def test_trace_targets_resolve():
             owner = getattr(owner, cls[0])
         raw = vars(owner).get(fn_name)
         assert callable(raw) or isinstance(raw, classmethod), f"{name}: {attr} not found"
+
+
+def test_benchmark_setup_builders_run(tmp_path, monkeypatch):
+    """Every perfbench/make_inputs.py builder runs at a tiny size and writes its
+    file through make_inputs' own write branch, so a renamed or removed library
+    name fails here and not in the benchmark's set-up."""
+    make_inputs = _load_perfbench("make_inputs")
+    tiny = {"round_robin": [5], "c4pipeline": [8], "affine": [2], "pruned_affine": [2],
+            "star": [5, 3], "bipartite": [4]}
+    assert set(tiny) == set(make_inputs.BUILDERS)
+    jobs = [[f"{name}.out", name, *args] for name, args in tiny.items()]
+    monkeypatch.setattr(sys, "argv", ["make_inputs.py", str(tmp_path), json.dumps(jobs)])
+    make_inputs.main()
+    assert read_coloring(tmp_path / "round_robin.out").n == 5
+    for name in tiny.keys() - {"round_robin"}:
+        assert verify_split(read_split(tmp_path / f"{name}.out"), "lax").passed
