@@ -39,7 +39,6 @@ from .graphs import (
     VerificationReport,
     build_graph,
     connected_components,
-    contract_blobs,
     prune_to_split,
     read_graph,
     read_split,

@@ -22,7 +22,7 @@ from .constructions import (
     pipeline_parameters,
     star_blob_size,
 )
-from .errors import ParameterError, UnsupportedFamily
+from .errors import InvariantViolation, ParameterError, UnsupportedFamily
 from .freeness import ForbiddenGraph, check_forbidden
 from .graphs import connected_components, two_coloring, verify_split
 
@@ -111,11 +111,13 @@ _STRICTNESS_NOTE = ("lower bound follows the convention f >= k when "
                     "already justify f >= k+1")
 
 
-def _certify(split, h: ForbiddenGraph, report: BoundReport) -> None:
-    assert verify_split(split, "strict").passed
-    assert check_forbidden(split.graph, h) is None
-    report.achieved_k = int(split.blob_sizes().max())
-    assert report.achieved_k >= report.f_lower
+def _certify(split, free: bool, report: BoundReport) -> None:
+    """Fill achieved_k, unless the split is not strict, not free, or below f_lower."""
+    achieved = int(split.blob_sizes().max())
+    if not (verify_split(split, "strict").passed and free and achieved >= report.f_lower):
+        raise InvariantViolation(
+            f"{report.forbidden}: the n={report.n} construction failed its certificate")
+    report.achieved_k = achieved
 
 
 def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundReport:
@@ -124,75 +126,62 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
     built and re-verified, filling achieved_k."""
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    hg = h.graph
-    if two_coloring(hg) is None:  # non-bipartite target
-        if n < hg.V:
-            return BoundReport(
-                forbidden=h.spec, n=n, f_lower=1,
-                f_lower_provenance="trivial (any split works)",
-                f_upper=1,
-                f_upper_provenance=f"K_{n} itself has fewer than {hg.V} vertices",
-                f_upper_certified=True, achieved_k=1)
-        report = BoundReport(
-            forbidden=h.spec, n=n, f_lower=2,
-            f_lower_provenance=f"the 1-split is K_{n}, which contains {h.spec}",
-            f_upper=2,
-            f_upper_provenance="red/blue 2-split: the output is bipartite and "
-                               "contains no non-bipartite graph",
-            f_upper_certified=True)
-        if certify:
-            split = build_bipartite_split(n)
-            assert two_coloring(split.graph) is not None
-            if hg.V <= 12:
-                _certify(split, h, report)
-            else:
-                assert verify_split(split, "strict").passed
-                report.achieved_k = 2
-        return report
+    if n < h.graph.V:
+        return BoundReport(
+            forbidden=h.spec, n=n, f_lower=1, f_lower_provenance="trivial (any split works)",
+            f_upper=1, f_upper_provenance=f"K_{n} itself has fewer than {h.graph.V} vertices",
+            f_upper_certified=True, achieved_k=1)
 
-    kind, params = _family(h)
-
-    f_lower = necessary_k_lower(h, n)
-    target = n * (n - 1) // 2
-    at_k = _ex_high(h, n * f_lower)
-    if at_k < target:
-        lower_prov = (f"an h-free split needs ex(nk, {h.spec}) >= n(n-1)/2, and "
-                      f"ex({n * f_lower}, {h.spec}) <= {at_k} < {target}, while "
-                      f"ex({n * (f_lower + 1)}, {h.spec}) <= "
-                      f"{_ex_high(h, n * (f_lower + 1))} does not contradict k+1")
-    else:
-        lower_prov = (f"no k is excluded: ex({n}, {h.spec}) <= {at_k} already "
-                      f"reaches {target}; trivial bound k >= 1")
-
+    bipartite = two_coloring(h.graph) is not None
     builder = None  # builds the upper-bound construction for --certify
-    if kind == "biclique" and params[0] == 2:
-        if n < 8:
-            f_upper, upper_prov, certified = None, "pipeline needs n >= 8", False
-        else:
-            p = pipeline_parameters(n)[2]
-            f_upper, certified = 2 * p, True
-            upper_prov = f"affine-plane pipeline: prime p={p}, blob size 2p"
-            builder = partial(construct_c4_free_split, n)
-    elif kind == "star":
-        t = params[0]
-        f_upper, certified = star_blob_size(n, t), True
-        upper_prov = (f"round-robin rounds grouped {f_upper} ways, "
-                      f"each group at most {t - 1} matchings")
-        builder = partial(build_star_free_split, n, t)
-    elif kind == "path" or (kind == "explicit" and _is_tree(h)):
-        f_upper, certified = 2 * (n - 1) / (h.graph.M - 1), False
-        upper_prov = ("tree Ramsey-coloring bound 2(n-1)/(t-1); no construction "
-                      "built (supply an edge coloring to certify)")
+    if not bipartite:
+        # the split's own 2-coloring certifies it: no non-bipartite graph fits
+        f_lower, lower_prov, notes = 2, f"the 1-split is K_{n}, which contains {h.spec}", []
+        f_upper, certified, upper_prov = 2, True, (
+            "red/blue 2-split: the output is bipartite and contains no non-bipartite graph")
+        builder = partial(build_bipartite_split, n)
     else:
-        raise UnsupportedFamily(
-            f"{h.spec}: neither a construction nor a certified finite bound available")
+        # necessary_k_lower raises unless h is a K_{2,t}, a star or a tree
+        f_lower, notes = necessary_k_lower(h, n), [_STRICTNESS_NOTE]
+        target = n * (n - 1) // 2
+        at_k = _ex_high(h, n * f_lower)
+        if at_k < target:
+            lower_prov = (f"an h-free split needs ex(nk, {h.spec}) >= n(n-1)/2, and "
+                          f"ex({n * f_lower}, {h.spec}) <= {at_k} < {target}, while "
+                          f"ex({n * (f_lower + 1)}, {h.spec}) <= "
+                          f"{_ex_high(h, n * (f_lower + 1))} does not contradict k+1")
+        else:
+            lower_prov = (f"no k is excluded: ex({n}, {h.spec}) <= {at_k} already "
+                          f"reaches {target}; trivial bound k >= 1")
+        kind, params = _family(h)
+        if kind == "biclique":
+            if n < 8:
+                f_upper, upper_prov, certified = None, "pipeline needs n >= 8", False
+            else:
+                p = pipeline_parameters(n)[2]
+                f_upper, certified = 2 * p, True
+                upper_prov = f"affine-plane pipeline: prime p={p}, blob size 2p"
+                builder = partial(construct_c4_free_split, n)
+        elif kind == "star":
+            t = params[0]
+            f_upper, certified = star_blob_size(n, t), True
+            upper_prov = (f"round-robin rounds grouped {f_upper} ways, "
+                          f"each group at most {t - 1} matchings")
+            builder = partial(build_star_free_split, n, t)
+        else:
+            f_upper, certified = 2 * (n - 1) / (h.graph.M - 1), False
+            upper_prov = ("tree Ramsey-coloring bound 2(n-1)/(t-1); no construction "
+                          "built (supply an edge coloring to certify)")
 
     report = BoundReport(
         forbidden=h.spec, n=n, f_lower=f_lower, f_lower_provenance=lower_prov,
         f_upper=f_upper, f_upper_provenance=upper_prov,
-        f_upper_certified=certified, notes=[_STRICTNESS_NOTE])
+        f_upper_certified=certified, notes=notes)
     if certify and builder is not None:
-        _certify(builder(), h, report)
+        split = builder()
+        free = (check_forbidden(split.graph, h) is None if bipartite
+                else two_coloring(split.graph) is not None)
+        _certify(split, free, report)
     return report
 
 

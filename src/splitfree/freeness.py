@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrammarError, InstanceTooLarge, ParameterError, PatternTooLarge
+from .errors import GrammarError, InstanceTooLarge, InvariantViolation, ParameterError, PatternTooLarge
 from .graphs import Graph, build_graph, read_graph
 
 ORACLE_PATTERN_CAP = 12   # contains_subgraph is for desk-scale cross-checks
@@ -134,9 +134,7 @@ def contains_subgraph(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
         return False
 
     if place(0):
-        mapping = {hv: image[hv] for hv in range(hg.V)}
-        assert verify_embedding(g, h, mapping)
-        return mapping
+        return _verified(g, h, {hv: image[hv] for hv in range(hg.V)})
     return None
 
 
@@ -146,6 +144,13 @@ def verify_embedding(g: Graph, h: ForbiddenGraph, mapping: dict[int, int]) -> bo
     if len(set(mapping.values())) != h.graph.V or len(mapping) != h.graph.V:
         return False
     return all(g.has_edge(mapping[u], mapping[v]) for u, v in h.graph.edges.tolist())
+
+
+def _verified(g: Graph, h: ForbiddenGraph, mapping: dict[int, int]) -> dict[int, int]:
+    """The mapping, once verify_embedding accepts it as a witness of h in g."""
+    if not verify_embedding(g, h, mapping):
+        raise InvariantViolation(f"checker returned a false {h.spec} witness {mapping}")
+    return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +202,7 @@ def _pair_with_common_at_least(g: Graph, t: int) -> tuple[int, int] | None:
 def is_c4_free(g: Graph) -> BicliqueWitness | None:
     """None iff no two vertices share two common neighbors; otherwise the
     lexicographically first offending pair with two shared neighbors."""
-    pair = _pair_with_common_at_least(g, 2)
-    if pair is None:
-        return None
-    u, v = pair
-    common = g.common_neighbors(u, v)[:2]
-    return BicliqueWitness((u, v), (int(common[0]), int(common[1])))
+    return is_kst_free(g, 2, 2)
 
 
 def _kst_enumerate(g: Graph, s: int, t: int) -> BicliqueWitness | None:
@@ -289,9 +289,7 @@ def check_forbidden(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
             mapping = _biclique_mapping(s, w)
     else:
         return contains_subgraph(g, h)
-    if mapping is not None:
-        assert verify_embedding(g, h, mapping)
-    return mapping
+    return None if mapping is None else _verified(g, h, mapping)
 
 
 def witness_json(mapping: dict[int, int] | None) -> dict:

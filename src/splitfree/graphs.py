@@ -45,13 +45,12 @@ class Graph:
         self._set_keys(np.minimum(e[:, 0], e[:, 1]) * self.V + np.maximum(e[:, 0], e[:, 1]))
 
     @classmethod
-    def from_edge_keys(cls, vertex_count: int, keys: np.ndarray, unique: bool = True) -> "Graph":
-        """Graph of the edges keyed u*V+v (u < v); may sort `keys` in place. Repeats are
-        an InvariantViolation unless `unique` is False."""
+    def from_edge_keys(cls, vertex_count: int, keys: np.ndarray) -> "Graph":
+        """Graph of the edges keyed u*V+v (u < v); may sort `keys` in place; repeats raise."""
         g = cls.__new__(cls)
         g.V = int(vertex_count)
         g._set_keys(keys)
-        if unique and g.M != len(keys):
+        if g.M != len(keys):
             raise InvariantViolation("duplicate edge keys")
         return g
 
@@ -266,12 +265,6 @@ def restrict_blobs(s: SplitGraph, n_target: int) -> SplitGraph:
     return SplitGraph(
         Graph(int(keep.sum()), new_id[ek] if len(ek) else ek),
         s.blob_of[keep], n_target, s.k)
-
-
-def contract_blobs(s: SplitGraph) -> Graph:
-    """Simple graph on the blobs: two blobs adjacent iff some edge crosses them."""
-    keys, _ = _cross_pair_keys(s)
-    return Graph.from_edge_keys(s.n, keys, unique=False)
 
 
 def _search(g: Graph) -> tuple[np.ndarray, np.ndarray, bool]:

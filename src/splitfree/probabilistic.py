@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHost, ParameterError, SizeGuard
+from .errors import DegenerateHost, InvariantViolation, ParameterError, SizeGuard
 from .graphs import Graph, SplitGraph, prune_to_split
 
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
@@ -294,7 +294,7 @@ def trim_max_degree(g: Graph, profile: TuranProfile,
         q = max(3, math.floor(coeff * (ell ** b / ex) ** (1 / (b - 1))))
 
     deg = g.degrees()
-    by_degree = sorted(range(ell), key=lambda v: (-deg[v], v))
+    by_degree = np.lexsort((np.arange(ell), -deg))  # ties to lower ids
     a1_size = -(-ell // q)
     a1 = by_degree[:a1_size]
     a1_degree_sum = int(deg[a1].sum())
@@ -306,19 +306,13 @@ def trim_max_degree(g: Graph, profile: TuranProfile,
         e = g.edges
         kept = e[~(in_a1[e[:, 0]] | in_a1[e[:, 1]])]
         trimmed = Graph(ell, kept)
-        assert trimmed.M > m / 2
-        assert trimmed.degrees().max() <= q * m / ell
+        if not (trimmed.M > m / 2 and trimmed.degrees().max() <= q * m / ell):
+            raise InvariantViolation(f"case-2 trim at q={q} broke its edge or degree bound")
         return TrimResult(case=2, q=q, graph=trimmed)
 
-    # case 1: partition the rest by id into q-1 near-equal parts
-    rest = sorted(set(range(ell)) - set(a1))
-    base, extra = divmod(len(rest), q - 1)
-    parts: list[list[int]] = [sorted(a1)]
-    at = 0
-    for gi in range(q - 1):
-        size = base + (1 if gi < extra else 0)
-        parts.append(rest[at:at + size])
-        at += size
+    # case 1: partition the rest by id into q-1 near-equal parts, longer ones first
+    rest = np.sort(by_degree[a1_size:])
+    parts = [np.sort(a1).tolist()] + [p.tolist() for p in np.array_split(rest, q - 1)]
     part_of = np.empty(ell, dtype=np.int64)
     for pi, members in enumerate(parts):
         part_of[members] = pi

@@ -54,6 +54,16 @@ def brute_split_census(split: SplitGraph) -> dict:
             "missing": missing, "multi": multi}
 
 
+def crossed_blob_pairs(split: SplitGraph) -> set[tuple[int, int]]:
+    """Blob pairs (i < j) joined by at least one edge: the edges of the graph
+    that contracting every blob leaves."""
+    return set(brute_split_census(split)["pair_edges"])
+
+
+def all_pairs(n: int) -> set[tuple[int, int]]:
+    return {(i, j) for i in range(n) for j in range(i + 1, n)}
+
+
 def brute_contains_subgraph(g: Graph, h: Graph) -> bool:
     """Subgraph containment by raw enumeration of injective maps; only for
     tiny patterns and hosts."""

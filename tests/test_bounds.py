@@ -1,18 +1,27 @@
 """Certified Turán bounds, the necessary blob-size condition, split-bound
 reports, and tree Ramsey bounds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitfree import bounds, freeness
 from splitfree.bounds import (
     necessary_k_lower,
     ramsey_bounds,
     split_bounds,
     turan_bound,
 )
-from splitfree.errors import ParameterError, UnsupportedFamily
+from splitfree.errors import InvariantViolation, ParameterError, UnsupportedFamily
 from splitfree.freeness import parse_forbidden_spec
+from splitfree.graphs import write_graph
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_ex_star(ell: int, t: int) -> int:
@@ -149,6 +158,70 @@ def test_split_bounds_unsupported():
             split_bounds(parse_forbidden_spec(spec), 100)
     with pytest.raises(UnsupportedFamily):
         split_bounds(parse_forbidden_spec("P2"), 10)  # single edge
+
+
+def test_split_bounds_trivial_below_pattern_size(tmp_path):
+    """K_n with n < |V(H)| has no copy of H, whatever H is: f = 1 for every kind."""
+    write_graph(parse_forbidden_spec("C6").graph, tmp_path / "c6.g")
+    specs = ["C5", "C7", "C4", "K2,3", "K3,3", "K1,4", "S4", "P5", f"file:{tmp_path / 'c6.g'}"]
+    for spec in specs:
+        h = parse_forbidden_spec(spec)
+        for n in range(2, h.graph.V):
+            for certify in (False, True):
+                report = split_bounds(h, n, certify=certify)
+                assert vars(report) == {
+                    "forbidden": spec, "n": n, "f_lower": 1,
+                    "f_lower_provenance": "trivial (any split works)", "f_upper": 1,
+                    "f_upper_provenance": f"K_{n} itself has fewer than {h.graph.V} vertices",
+                    "f_upper_certified": True, "achieved_k": 1, "notes": []}
+
+
+def test_non_bipartite_certify_never_calls_the_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("backtracking oracle called")
+
+    monkeypatch.setattr(freeness, "contains_subgraph", refuse)
+    for spec, n in (("C5", 80), ("C7", 40), ("C13", 14)):
+        report = split_bounds(parse_forbidden_spec(spec), n, certify=True)
+        assert (report.f_lower, report.f_upper, report.achieved_k) == (2, 2, 2)
+
+
+def test_certify_refuses_each_failed_condition(monkeypatch):
+    """The certificate fails when the split is not strict, contains the pattern, or
+    has blobs smaller than the lower bound allows."""
+    failed = type("Report", (), {"passed": False})()
+    two_coloring = bounds.two_coloring
+    breaks = [("S3", "verify_split", lambda split, mode: failed),
+              ("S3", "check_forbidden", lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}),
+              ("S3", "necessary_k_lower", lambda h, n: 99),
+              # C5 keeps its odd cycle; only the built split loses its 2-coloring
+              ("C5", "two_coloring", lambda g: two_coloring(g) if g.V == 5 else None)]
+    for spec, name, broken in breaks:
+        with monkeypatch.context() as m:
+            m.setattr(bounds, name, broken)
+            with pytest.raises(InvariantViolation):
+                split_bounds(parse_forbidden_spec(spec), 9, certify=True)
+
+
+def test_certify_checks_survive_optimized_mode():
+    """Under python -O a checker that finds a star in the built split must still
+    stop the certificate."""
+    program = (
+        "from splitfree import bounds\n"
+        "from splitfree.errors import InvariantViolation\n"
+        "from splitfree.freeness import parse_forbidden_spec\n"
+        "assert False, 'asserts are live'\n"
+        "bounds.check_forbidden = lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}\n"
+        "try:\n"
+        "    bounds.split_bounds(parse_forbidden_spec('S3'), 9, certify=True)\n"
+        "except InvariantViolation as exc:\n"
+        "    print('refused:', exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-O", "-c", program],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: S3"), proc.stdout
 
 
 def test_ramsey_examples():

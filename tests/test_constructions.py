@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph
+from conftest import all_pairs, complete_graph, crossed_blob_pairs
 from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
@@ -105,10 +105,10 @@ def test_affine_split_examples():
 
 
 def test_affine_split_contracts_to_complete():
-    from splitfree.graphs import contract_blobs, prune_to_split
+    from splitfree.graphs import prune_to_split
 
     pruned = prune_to_split(build_affine_split(2))
-    assert contract_blobs(pruned) == complete_graph(8)
+    assert crossed_blob_pairs(pruned) == all_pairs(8)
 
 
 def test_affine_split_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 """Forbidden-subgraph checking: grammar, the backtracking oracle, the family
 checkers, and their mutual agreement."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,14 +19,17 @@ from conftest import (
     seeded_corpus,
 )
 from splitfree import freeness
+from splitfree.cli import run
 from splitfree.constructions import build_affine_split, construct_c4_free_split
 from splitfree.errors import (
     GrammarError,
     InstanceTooLarge,
+    InvariantViolation,
     ParameterError,
     PatternTooLarge,
 )
 from splitfree.freeness import (
+    BicliqueWitness,
     check_forbidden,
     contains_subgraph,
     is_c4_free,
@@ -34,7 +38,7 @@ from splitfree.freeness import (
     verify_embedding,
     witness_json,
 )
-from splitfree.graphs import Graph, prune_to_split, write_graph
+from splitfree.graphs import Graph, SplitGraph, prune_to_split, write_graph, write_split
 
 
 def test_parse_examples():
@@ -143,6 +147,24 @@ def test_check_forbidden_dispatch_and_witness_json():
         assert out["found"] and len(out["mapping"]) == h.graph.V
     assert check_forbidden(cycle_graph(5), parse_forbidden_spec("C4")) is None
     assert witness_json(None) == {"found": False, "mapping": []}
+
+
+def test_false_witness_is_an_invariant_violation(monkeypatch, capsys, tmp_path):
+    """A checker's witness is re-checked without assert: a false one raises, and
+    the CLI reports it as a JSON error with exit 1."""
+    monkeypatch.setattr(freeness, "is_kst_free", lambda g, s, t: BicliqueWitness((0, 1), (2, 3)))
+    c6 = cycle_graph(6)
+    for spec in ("C4", "K2,2"):  # C4 reaches the same checker through is_c4_free
+        with pytest.raises(InvariantViolation):
+            check_forbidden(c6, parse_forbidden_spec(spec))
+    write_split(SplitGraph(c6, np.arange(6), 6, 1), tmp_path / "c6.sg")
+    assert run(["verify", "--input", str(tmp_path / "c6.sg"), "--mode", "lax",
+                "--forbidden", "C4"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "InvariantViolation" and not out["passed"]
+    monkeypatch.setattr(freeness, "verify_embedding", lambda g, h, mapping: False)
+    with pytest.raises(InvariantViolation):
+        contains_subgraph(cycle_graph(5), parse_forbidden_spec("P3"))
 
 
 def test_monotonicity_under_pruning():

@@ -9,8 +9,10 @@ directory with relative paths, since paths appear in stdout; later runs read
 files written by earlier ones.
 
 The expected outputs in golden_cli.json were recorded from the program as it
-was before its reports lost their hand-written `to_dict` methods.  Record
-them again only for an intended output change:
+was before its reports lost their hand-written `to_dict` methods; since then
+only `bounds --forbidden K3,3 --n 5` changed on purpose, from an error to the
+trivial report that every pattern gets when n < |V(H)|.  Record them again
+only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """

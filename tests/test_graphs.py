@@ -1,5 +1,5 @@
 """Graph and split-graph behavior: construction validation, verification,
-pruning, restriction, contraction, and file round trips."""
+pruning, restriction, blob-pair coverage, and file round trips."""
 
 import functools
 import re
@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_split_census, complete_graph, cycle_graph, seeded_corpus
+from conftest import (
+    all_pairs,
+    brute_split_census,
+    complete_graph,
+    crossed_blob_pairs,
+    cycle_graph,
+    seeded_corpus,
+)
 from splitfree import graphs
 from splitfree.errors import (
     EndpointOutOfRange,
@@ -27,7 +34,6 @@ from splitfree.graphs import (
     SplitGraph,
     build_graph,
     connected_components,
-    contract_blobs,
     prune_to_split,
     read_graph,
     read_split,
@@ -137,11 +143,17 @@ def test_restrict_examples():
 
 
 def test_contract_examples():
-    assert contract_blobs(c6_paired_split()) == complete_graph(3)
+    # contracting the blobs gives K_n exactly when the split is lax
+    paired = c6_paired_split()
+    assert crossed_blob_pairs(paired) == all_pairs(3)
+    assert verify_split(paired, "lax").passed
     k5 = complete_graph(5)
-    assert contract_blobs(SplitGraph(k5, np.arange(5), 5, 1)) == k5
+    identity = SplitGraph(k5, np.arange(5), 5, 1)
+    assert crossed_blob_pairs(identity) == {tuple(e) for e in k5.edges.tolist()}
+    assert verify_split(identity, "lax").passed
     empty3 = SplitGraph(Graph(3, np.empty((0, 2), np.int64)), np.arange(3), 3, 1)
-    assert contract_blobs(empty3).M == 0
+    assert crossed_blob_pairs(empty3) == set()
+    assert not verify_split(empty3, "lax").passed
 
 
 def test_splitgraph_invariants():
@@ -262,7 +274,7 @@ def test_prune_properties(s):
     original = {tuple(e) for e in s.graph.edges.tolist()}
     assert all(tuple(e) in original for e in pruned.graph.edges.tolist())
     assert verify_split(pruned, "strict").passed
-    assert contract_blobs(pruned) == complete_graph(s.n)
+    assert crossed_blob_pairs(pruned) == all_pairs(s.n)
     # verdicts agree with the pure-Python census
     census = brute_split_census(s)
     rep = verify_split(s, "strict")
@@ -434,11 +446,10 @@ def test_bulk_parse_matches_line_scanner(name, mutation, tmp_path, monkeypatch):
                 assert read(path) == obj
 
 
-def test_from_edge_keys_rejects_repeats_unless_merging():
+def test_from_edge_keys_rejects_repeats():
     keys = np.array([6, 1, 6], dtype=np.int64)
     with pytest.raises(InvariantViolation, match="duplicate edge keys"):
         Graph.from_edge_keys(4, keys.copy())
-    assert Graph.from_edge_keys(4, keys, unique=False) == build_graph(4, [(0, 1), (1, 2)])
 
 
 def test_header_counts_checked_before_allocation(tmp_path):

@@ -265,6 +265,63 @@ def test_trim_validation():
         trim_max_degree(Graph(2, np.empty((0, 2), np.int64)), PROFILE)
 
 
+
+def reference_trim_partition(g: Graph, q: int) -> tuple[list[list[int]], int, int]:
+    """Oracle: the list-based case-1 partition (parts, 1-based j, union edge count),
+    with A_1 chosen by a Python key sort and the rest split by a hand loop."""
+    ell = g.V
+    deg = g.degrees()
+    by_degree = sorted(range(ell), key=lambda v: (-deg[v], v))
+    a1_size = -(-ell // q)
+    a1 = by_degree[:a1_size]
+    rest = sorted(set(range(ell)) - set(a1))
+    base, extra = divmod(len(rest), q - 1)
+    parts: list[list[int]] = [sorted(a1)]
+    at = 0
+    for gi in range(q - 1):
+        size = base + (1 if gi < extra else 0)
+        parts.append(rest[at:at + size])
+        at += size
+    part_of = np.empty(ell, dtype=np.int64)
+    for pi, members in enumerate(parts):
+        part_of[members] = pi
+    pu = part_of[g.edges[:, 0]]
+    pv = part_of[g.edges[:, 1]]
+    to_a1 = (pu == 0) ^ (pv == 0)
+    counts = np.bincount((pu + pv)[to_a1], minlength=q)  # other part index, 1..q-1
+    j_part = int(np.argmax(counts[1:])) + 1              # first max -> smallest j
+    union_edges = int((((pu == 0) | (pu == j_part)) & ((pv == 0) | (pv == j_part))).sum())
+    return parts, j_part + 1, union_edges
+
+
+@st.composite
+def trim_inputs(draw):
+    ell = draw(st.integers(3, 24))
+    pairs = [(u, v) for u in range(ell) for v in range(u + 1, ell)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=60))
+    return build_graph(ell, edges), draw(st.integers(3, ell + 3))
+
+
+@given(trim_inputs())
+@settings(max_examples=150, deadline=None)
+def test_trim_matches_list_reference(data):
+    g, q = data
+    result = trim_max_degree(g, PROFILE, q_override=q)
+    deg = g.degrees()
+    a1 = sorted(range(g.V), key=lambda v: (-deg[v], v))[:-(-g.V // q)]
+    if int(deg[a1].sum()) < g.M / 2:
+        assert result.case == 2
+        kept = [e for e in g.edges.tolist() if not set(e) & set(a1)]
+        assert result.graph.edges.tolist() == kept
+        return
+    parts, j, union_edges = reference_trim_partition(g, q)
+    cert = result.certificate
+    assert result.case == 1
+    assert cert.parts == parts and cert.j == j and cert.union_edge_count == union_edges
+    assert cert.part_sizes == [len(p) for p in parts]
+    assert all(type(v) is int for part in cert.parts for v in part)  # JSON-printable
+
+
 # ---------------------------------------------------------------------------
 # Bit-sliced Monte Carlo and sort-free pair coverage against the dense code
 # ---------------------------------------------------------------------------
