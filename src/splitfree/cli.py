@@ -16,6 +16,7 @@ import sys
 
 from . import bounds as bounds_mod
 from . import constructions as cons
+from . import formats
 from . import probabilistic as prob
 from .errors import SplitfreeError
 from .freeness import check_forbidden, parse_forbidden_spec, witness_json
@@ -42,24 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _sniff_header(path) -> bytes:
-    """First token of the first non-comment line, compared as bytes: decoding
-    (and rejecting undecodable lines) is the reader's job."""
-    with open(path, "rb") as fh:
-        for raw in fh:
-            text = raw.strip()
-            if text and not text.startswith(b"#"):
-                return text.split()[0]
-    return b""
-
-
 def _load_host(path) -> Graph:
-    """Host graph for diagnostics: a `graph 1` file, or the graph part of a
-    `splitgraph 1` file."""
-    kind = _sniff_header(path)
-    if kind == b"splitgraph":
-        return read_split(path).graph
-    return read_graph(path)
+    """Host graph for diagnostics: a graph file, or the graph of a split file."""
+    return read_split(path).graph if formats.sniff(path) == "splitgraph" else read_graph(path)
 
 
 def _forbidden_result(graph: Graph, spec: str | None) -> dict | None:

@@ -15,10 +15,12 @@ serialized outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
+from . import formats
 from .errors import (
     ColoringIncomplete,
     ParameterError,
@@ -198,11 +200,7 @@ class EdgeColoring:
                 raise ParameterError(f"color {c} outside [0, {self.colors})")
 
     def missing_pair(self) -> tuple[int, int] | None:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (i, j) not in self.color_of:
-                    return (i, j)
-        return None
+        return next((p for p in combinations(range(self.n), 2) if p not in self.color_of), None)
 
 
 def build_split_from_coloring(c: EdgeColoring) -> SplitGraph:
@@ -262,50 +260,13 @@ def build_star_free_split(n: int, t: int) -> SplitGraph:
     return build_split_from_coloring(grouped)
 
 
-# ---------------------------------------------------------------------------
-# Edge-coloring text format:
-#   coloring 1
-#   n <n> colors <k>
-#   c <i> <j> <color>      for every i<j, lexicographically sorted
-# ---------------------------------------------------------------------------
-
 def write_coloring(c: EdgeColoring, path) -> None:
-    missing = c.missing_pair()
-    if missing is not None:
+    if (missing := c.missing_pair()) is not None:
         raise ColoringIncomplete(f"pair {missing} has no color; format requires all pairs")
-    lines = ["coloring 1", f"n {c.n} colors {c.colors}"]
-    lines.extend(f"c {i} {j} {c.color_of[(i, j)]}"
-                 for i in range(c.n) for j in range(i + 1, c.n))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    formats.write(path, "coloring", (c.n, c.colors),
+                  map(c.color_of.__getitem__, combinations(range(c.n), 2)))
 
 
 def read_coloring(path) -> EdgeColoring:
-    from .errors import ParseError
-    from .graphs import _LineReader, _int_field
-
-    reader = _LineReader(path)
-    lineno, toks = reader.next("'coloring 1' header")
-    if toks != ["coloring", "1"]:
-        raise ParseError(lineno, "expected header 'coloring 1'")
-    lineno, toks = reader.next("'n <n> colors <k>' line")
-    if len(toks) != 4 or toks[0] != "n" or toks[2] != "colors":
-        raise ParseError(lineno, "expected 'n <n> colors <k>'")
-    n = _int_field(lineno, toks[1], "n")
-    k = _int_field(lineno, toks[3], "color count")
-    color_of = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            lineno, toks = reader.next(f"'c {i} {j} <color>'")
-            if len(toks) != 4 or toks[0] != "c":
-                raise ParseError(lineno, f"expected 'c <i> <j> <color>', got {' '.join(toks)!r}")
-            gi = _int_field(lineno, toks[1], "i")
-            gj = _int_field(lineno, toks[2], "j")
-            if (gi, gj) != (i, j):
-                raise ParseError(lineno, f"expected pair ({i}, {j}), got ({gi}, {gj})")
-            colr = _int_field(lineno, toks[3], "color")
-            if not 0 <= colr < k:
-                raise ParseError(lineno, f"color {colr} outside [0, {k})")
-            color_of[(i, j)] = colr
-    reader.done()
-    return EdgeColoring(n, k, color_of)
+    (n, k), (colors,) = formats.read(path, "coloring")
+    return EdgeColoring(n, k, dict(zip(combinations(range(n), 2), colors)))

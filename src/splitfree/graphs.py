@@ -9,25 +9,19 @@ has exactly n(n-1)/2 edges.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import formats
 from .errors import (
     EndpointOutOfRange,
     InvariantViolation,
     LoopEdge,
     NotALaxSplit,
     ParameterError,
-    ParseError,
-    SizeGuard,
     TargetTooLarge,
 )
-
-MAX_VERTICES = math.isqrt(2 ** 63 - 1)  # edge keys u*V+v must fit in int64
-MAX_FILE_VERTICES = 1 << 24  # guard on a file header's vertex count: O(V) arrays follow
 
 
 class Graph:
@@ -304,200 +298,19 @@ def connected_components(g: Graph) -> np.ndarray:
     return _search(g)[0]
 
 
-# ---------------------------------------------------------------------------
-# Text formats.  Both are UTF-8 with LF line endings; '#' lines are comments.
-#
-#   splitgraph 1                       graph 1
-#   n <n> k <k> v <V> e <E>            v <V> e <E>
-#   b <vid> <blobid>   (vid 0..V-1)    e <u> <v>  (u < v, lex sorted)
-#   e <u> <v>          (u < v, lex sorted)
-# ---------------------------------------------------------------------------
-
-def _edge_lines(g: Graph) -> list[str]:
-    """The 'e <u> <v>' lines, joined into one string per low endpoint u."""
-    ids = [str(i) for i in range(g.V)]
-    high = [ids[v] for v in g.edges[:, 1].tolist()]
-    starts = np.searchsorted(g.edges[:, 0], np.arange(g.V + 1)).tolist()
-    return [f"e {u} " + f"\ne {u} ".join(high[a:b])
-            for u, (a, b) in enumerate(zip(starts, starts[1:])) if a < b]
-
-
-def write_split(s: SplitGraph, path) -> None:
-    lines = [
-        "splitgraph 1",
-        f"n {s.n} k {s.k} v {s.graph.V} e {s.graph.M}",
-    ]
-    lines.extend(f"b {v} {b}" for v, b in enumerate(s.blob_of.tolist()))
-    lines.extend(_edge_lines(s.graph))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_graph(g: Graph, path) -> None:
-    lines = ["graph 1", f"v {g.V} e {g.M}"]
-    lines.extend(_edge_lines(g))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-# Bulk parsing of exactly the form the writers emit, integers cut at 17 digits
-# so np.fromstring cannot saturate.  Anything else (comments, blank lines, CRLF,
-# signs, leading zeros, bad ids or order) goes to the line scanner.  Rows are
-# matched 1024 at a time: re keeps state for each repeat of a group, ~280 B.
-_UINT = rb"(?:0|[1-9][0-9]{0,16})"
-_SPLIT_HEADER = re.compile(rb"splitgraph 1\nn (%s) k (%s) v (%s) e (%s)\n" % ((_UINT,) * 4))
-_GRAPH_HEADER = re.compile(rb"graph 1\nv (%s) e (%s)\n" % (_UINT, _UINT))
-_ROWS = {t: re.compile(rb"(?:%s %s %s\n){0,1024}" % (t, _UINT, _UINT)) for t in (b"b", b"e")}
-
-
-def _bulk_parse(path, header: re.Pattern, tags: tuple[bytes, ...]):
-    """Header numbers and one (count, 2) array per row tag, the counts being the header's
-    last numbers; None unless the rows are all there and the edges (last tag) are canonical.
-    Header counts are checked before anything is read by them."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head = header.match(data)
-    if head is None:
-        return None
-    nums = [int(x) for x in head.groups()]
-    _check_counts(2, *nums[-2:])
-    pos, sections = head.end(), []
-    for tag, count in zip(tags, nums[-len(tags):]):
-        end = pos
-        while (nxt := _ROWS[tag].match(data, end).end()) > end:
-            end = nxt
-        rows = np.fromstring(data[pos:end].translate(None, tag), dtype=np.int64, sep=" ")
-        if len(rows) != 2 * count:
-            return None
-        sections.append(rows.reshape(-1, 2))
-        pos = end
-    vcount, (u, v) = nums[-2], sections[-1].T
-    if pos < len(data) or not (v < vcount).all() \
-            or not (u < v).all() or not (np.diff(u * vcount + v) > 0).all():
-        return None
-    return nums, sections
-
-
-class _LineReader:
-    def __init__(self, path):
-        self.rows = []  # (lineno, tokens)
-        # undecodable bytes become lone surrogates, which strict encoding rejects
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.isascii():
-                    try:
-                        raw.encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ParseError(lineno, "line is not valid UTF-8") from None
-                text = raw.strip()
-                if not text or text.startswith("#"):
-                    continue
-                self.rows.append((lineno, text.split()))
-        self.pos = 0
-
-    def next(self, what: str) -> tuple[int, list[str]]:
-        if self.pos >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 0
-            raise ParseError(last + 1, f"unexpected end of file, expected {what}")
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    def done(self) -> None:
-        if self.pos < len(self.rows):
-            lineno, toks = self.rows[self.pos]
-            raise ParseError(lineno, f"unexpected extra line {' '.join(toks)!r}")
-
-
-def _int_field(lineno: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"{what} is not an integer: {token!r}") from None
-
-
-def _read_edges(reader: _LineReader, count: int, vertex_count: int) -> np.ndarray:
-    edges = []  # grown line by line: no array is sized by an unchecked header count
-    prev = (-1, -1)
-    for _ in range(count):
-        lineno, toks = reader.next("an 'e <u> <v>' line")
-        if len(toks) != 3 or toks[0] != "e":
-            raise ParseError(lineno, f"expected 'e <u> <v>', got {' '.join(toks)!r}")
-        u = _int_field(lineno, toks[1], "endpoint")
-        v = _int_field(lineno, toks[2], "endpoint")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ParseError(lineno, f"endpoint outside [0, {vertex_count})")
-        if u >= v:
-            raise ParseError(lineno, f"edge ({u}, {v}) must have u < v")
-        if (u, v) <= prev:
-            raise ParseError(lineno, "edges out of lexicographic order or duplicated")
-        prev = (u, v)
-        edges.append(prev)
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
-
-
-def _check_counts(lineno: int, vcount: int, ecount: int) -> None:
-    if not (0 <= vcount <= MAX_VERTICES and ecount >= 0):
-        raise ParseError(lineno, f"need 0 <= vertex count <= {MAX_VERTICES} and edge count >= 0")
-    if vcount > MAX_FILE_VERTICES:
-        raise SizeGuard(f"line {lineno}: {vcount} vertices; guard is {MAX_FILE_VERTICES}")
-
-
 def read_split(path) -> SplitGraph:
-    parsed = _bulk_parse(path, _SPLIT_HEADER, (b"b", b"e"))
-    if parsed is not None:
-        (n, k, vcount, _), (b, e) = parsed
-        if np.array_equal(b[:, 0], np.arange(vcount)) and (b[:, 1] < n).all():
-            return SplitGraph(Graph(vcount, e), b[:, 1].copy(), n, k)
-    return _scan_split(path)
-
-
-def read_graph(path) -> Graph:
-    parsed = _bulk_parse(path, _GRAPH_HEADER, (b"e",))
-    return _scan_graph(path) if parsed is None else Graph(parsed[0][0], parsed[1][0])
-
-
-def _scan_split(path) -> SplitGraph:
-    reader = _LineReader(path)
-    lineno, toks = reader.next("'splitgraph 1' header")
-    if toks != ["splitgraph", "1"]:
-        raise ParseError(lineno, "expected header 'splitgraph 1'")
-    lineno, toks = reader.next("'n <n> k <k> v <V> e <E>' line")
-    if len(toks) != 8 or toks[0] != "n" or toks[2] != "k" or toks[4] != "v" or toks[6] != "e":
-        raise ParseError(lineno, "expected 'n <n> k <k> v <V> e <E>'")
-    n = _int_field(lineno, toks[1], "n")
-    k = _int_field(lineno, toks[3], "k")
-    vcount = _int_field(lineno, toks[5], "vertex count")
-    ecount = _int_field(lineno, toks[7], "edge count")
-    _check_counts(lineno, vcount, ecount)
-    blob_of = []
-    for vid in range(vcount):
-        lineno, toks = reader.next("a 'b <vid> <blobid>' line")
-        if len(toks) != 3 or toks[0] != "b":
-            raise ParseError(lineno, f"expected 'b <vid> <blobid>', got {' '.join(toks)!r}")
-        got = _int_field(lineno, toks[1], "vertex id")
-        if got != vid:
-            raise ParseError(lineno, f"vertex ids must ascend from 0; expected {vid}, got {got}")
-        blob = _int_field(lineno, toks[2], "blob id")
-        if not 0 <= blob < n:
-            raise ParseError(lineno, f"blob id {blob} outside [0, {n})")
-        blob_of.append(blob)
-    edges = _read_edges(reader, ecount, vcount)
-    reader.done()
+    (n, k, vcount, _), (blob_of, edges) = formats.read(path, "splitgraph")
     return SplitGraph(Graph(vcount, edges), blob_of, n, k)
 
 
-def _scan_graph(path) -> Graph:
-    reader = _LineReader(path)
-    lineno, toks = reader.next("'graph 1' header")
-    if toks != ["graph", "1"]:
-        raise ParseError(lineno, "expected header 'graph 1'")
-    lineno, toks = reader.next("'v <V> e <E>' line")
-    if len(toks) != 4 or toks[0] != "v" or toks[2] != "e":
-        raise ParseError(lineno, "expected 'v <V> e <E>'")
-    vcount = _int_field(lineno, toks[1], "vertex count")
-    ecount = _int_field(lineno, toks[3], "edge count")
-    _check_counts(lineno, vcount, ecount)
-    edges = _read_edges(reader, ecount, vcount)
-    reader.done()
+def write_split(s: SplitGraph, path) -> None:
+    formats.write(path, "splitgraph", (s.n, s.k, s.graph.V, s.graph.M), s.blob_of, s.graph.edges)
+
+
+def read_graph(path) -> Graph:
+    (vcount, _), (edges,) = formats.read(path, "graph")
     return Graph(vcount, edges)
+
+
+def write_graph(g: Graph, path) -> None:
+    formats.write(path, "graph", (g.V, g.M), g.edges)

@@ -18,7 +18,7 @@ from conftest import (
     cycle_graph,
     seeded_corpus,
 )
-from splitfree import graphs
+from splitfree import formats
 from splitfree.errors import (
     EndpointOutOfRange,
     InvariantViolation,
@@ -428,21 +428,22 @@ def _outcome(read, path):
 @pytest.mark.parametrize("name", ["c6_paired", "affine2", "star10", "edgeless"])
 def test_bulk_parse_matches_line_scanner(name, mutation, tmp_path, monkeypatch):
     s = _constructions()[name]
-    for obj, write, read, scan in ((s, write_split, read_split, graphs._scan_split),
-                                   (s.graph, write_graph, read_graph, graphs._scan_graph)):
+    for obj, write, read in ((s, write_split, read_split), (s.graph, write_graph, read_graph)):
         path = tmp_path / "f"
         write(obj, path)
         text = "\n".join(MUTATIONS[mutation](path.read_text().splitlines())) + "\n"
         for newline in ("\n", "\r\n"):
             path.write_bytes(text.replace("\n", newline).encode())
-            expected = _outcome(scan, path)
+            with monkeypatch.context() as m:  # the line scanner alone
+                m.setattr(formats, "_bulk_parse", lambda path, kind: None)
+                expected = _outcome(read, path)
             assert _outcome(read, path) == expected
             if mutation == "canonical":
                 assert expected == obj
         if mutation == "canonical":   # canonical files never reach the scanner
             path.write_text(text)
             with monkeypatch.context() as m:
-                m.setattr(graphs, scan.__name__, None)
+                m.setattr(formats, "_LineReader", None)
                 assert read(path) == obj
 
 
@@ -476,7 +477,7 @@ def test_file_vertex_guard_before_allocation(tmp_path, monkeypatch):
         path.write_text(text)
         with pytest.raises(SizeGuard, match="3000000000 vertices"):
             read_graph(path)
-    monkeypatch.setattr(graphs, "MAX_FILE_VERTICES", 4)
+    monkeypatch.setattr(formats, "MAX_FILE_VERTICES", 4)
     path.write_text("graph 1\nv 4 e 1\ne 0 1\n")
     assert read_graph(path) == build_graph(4, [(0, 1)])
     path.write_text("graph 1\nv 5 e 1\ne 0 1\n")
@@ -513,7 +514,7 @@ def test_bulk_parse_long_file_in_bounded_memory(tmp_path):
     write_graph(g, path)
     tracemalloc.start()
     try:
-        parsed = graphs._bulk_parse(path, graphs._GRAPH_HEADER, (b"e",))
+        parsed = formats._bulk_parse(path, "graph")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,5 +529,5 @@ def test_bulk_parse_long_file_in_bounded_memory(tmp_path):
 
 def test_bulk_patterns_parse_before_python_3_11():
     # possessive quantifiers and atomic groups are errors before Python 3.11
-    for pat in (graphs._SPLIT_HEADER, graphs._GRAPH_HEADER, *graphs._ROWS.values()):
+    for pat in (*formats._BULK_HEADERS.values(), *formats._BULK_ROWS.values()):
         assert not re.search(rb"[*+?}]\+|\(\?>", pat.pattern)

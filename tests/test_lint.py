@@ -14,3 +14,15 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert sorted(PACKAGE.glob("*.py")) and not found, found
+
+
+def test_no_module_imports_another_modules_private_names():
+    """A module's underscore names are its own: another module that needs one
+    needs a public name, or the code belongs in the owning module."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "splitfree")
+             and any(alias.name.startswith("_") for alias in node.names)]
+    assert not found, found
