@@ -87,10 +87,13 @@ def necessary_k_lower(h: ForbiddenGraph, n: int) -> int:
         raise UnsupportedFamily(
             f"f(n, {h.spec}) is undefined: every split contains a single edge")
     target = n * (n - 1) // 2
-    k = 0
-    while _ex_high(h, n * (k + 1)) < target:
-        k += 1
-    return max(k, 1)
+    lo, hi = 0, 1  # _ex_high grows with ell: double hi, then bisect; the k sought is in [lo, hi)
+    while _ex_high(h, n * hi) < target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _ex_high(h, n * mid) < target else (lo, mid)
+    return max(lo, 1)
 
 
 @dataclass

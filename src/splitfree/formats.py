@@ -41,10 +41,10 @@ def sniff(path) -> str:
 
 def _check_header(lineno: int, kind: str, nums: list[int]) -> None:
     """Header counts, checked before anything is read or sized by them."""
-    if kind == "coloring":
-        return
     vcount, ecount = nums[-2:]
-    if not (0 <= vcount <= MAX_VERTICES and ecount >= 0):
+    if kind == "coloring":  # the split built from it has n * colors vertices
+        vcount = vcount * ecount if min(nums) > 0 else 0
+    elif not (0 <= vcount <= MAX_VERTICES and ecount >= 0):
         raise ParseError(lineno, f"need 0 <= vertex count <= {MAX_VERTICES} and edge count >= 0")
     if vcount > MAX_FILE_VERTICES:
         raise SizeGuard(f"line {lineno}: {vcount} vertices; guard is {MAX_FILE_VERTICES}")
@@ -181,6 +181,8 @@ class _LineReader:
             blob = _int_field(lineno, toks[2], "blob id")
             if not 0 <= blob < n:
                 raise ParseError(lineno, f"blob id {blob} outside [0, {n})")
+            if blob >> 63:  # n may be that large, but blob ids are int64
+                raise ParseError(lineno, f"blob id {blob} does not fit in 64 bits")
             blob_of.append(blob)
         return blob_of
 

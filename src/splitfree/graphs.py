@@ -138,8 +138,8 @@ class SplitGraph:
             raise InvariantViolation("blob count must be positive")
         if len(b) and (b.min() < 0 or b.max() >= self.n):
             raise InvariantViolation("blob id outside [0, n)")
-        # with n > V blobs one of blobs 0..V is empty: count no further
-        sizes = np.bincount(b, minlength=min(self.n, len(b) + 1))
+        counted = min(self.n, len(b) + 1)  # with n > V one of blobs 0..V is empty
+        sizes = np.bincount(b if counted == self.n else b[b < counted], minlength=counted)
         if (sizes == 0).any():
             raise InvariantViolation(f"blob {int(np.argmax(sizes == 0))} is empty")
         if sizes.max() > self.k:

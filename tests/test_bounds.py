@@ -1,9 +1,11 @@
 """Certified Turán bounds, the necessary blob-size condition, split-bound
 reports, and tree Ramsey bounds."""
 
+import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,10 @@ from splitfree.bounds import (
     split_bounds,
     turan_bound,
 )
+from splitfree.cli import run
 from splitfree.errors import InvariantViolation, ParameterError, UnsupportedFamily
 from splitfree.freeness import parse_forbidden_spec
-from splitfree.graphs import write_graph
+from splitfree.graphs import build_graph, write_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -99,6 +102,38 @@ def test_necessary_k_lower_star_closed_form():
         while (n * (k + 1) * (t - 1)) // 2 < n * (n - 1) // 2:
             k += 1
         assert by_scan == max(k, 1)
+
+
+def _linear_k_lower(h, n: int) -> int:
+    """The former one-step-at-a-time scan, kept as the reference."""
+    target = n * (n - 1) // 2
+    k = 0
+    while bounds._ex_high(h, n * (k + 1)) < target:
+        k += 1
+    return max(k, 1)
+
+
+def test_necessary_k_lower_matches_linear_scan(tmp_path):
+    write_graph(build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]), tmp_path / "tree.g")
+    specs = ["C4", "K2,3", "S2", "S3", "S4", "S5", "P3", "P4", "P5", f"file:{tmp_path / 'tree.g'}"]
+    for spec in specs:
+        h = parse_forbidden_spec(spec)
+        for n in [*range(2, 301), 1000, 4097, 20000]:
+            assert necessary_k_lower(h, n) == _linear_k_lower(h, n), (spec, n)
+
+
+def test_necessary_k_lower_at_huge_n(capsys, monkeypatch):
+    # doubling then bisection: O(log f) bound evaluations, not f of them
+    calls = []
+    ex_high = bounds._ex_high
+    monkeypatch.setattr(bounds, "_ex_high", lambda h, ell: calls.append(ell) or ex_high(h, ell))
+    for spec, k in (("S3", 499999999999), ("P4", 249999999999)):
+        calls.clear()
+        start = time.perf_counter()
+        assert run(["bounds", "--forbidden", spec, "--n", str(10 ** 12)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().out)["report"]["f_lower"] == k
+        assert len(calls) < 100
 
 
 def test_necessary_k_lower_small_n():

@@ -284,3 +284,48 @@ def test_oversized_requests_refused_before_allocation(name, tmp_path):
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] in ("SizeGuard", "ParameterError")
+
+
+OUT_OF_RANGE = {  # file text, argv, the JSON error
+    "ec_colors_huge": ("coloring 1\nn 2 colors 1000000000000\nc 0 1 0\n",
+                       ["construct", "from-coloring", "--input", "{path}"],
+                       {"type": "SizeGuard",
+                        "message": "line 2: 2000000000000 vertices; guard is 16777216"}),
+    "ec_colors_large": ("coloring 1\nn 2 colors 100000000\nc 0 1 0\n",
+                        ["construct", "from-coloring", "--input", "{path}", "--no-verify"],
+                        {"type": "SizeGuard",
+                         "message": "line 2: 200000000 vertices; guard is 16777216"}),
+    "sg_blob_beyond_int64": (f"splitgraph 1\nn {10 ** 29} k 1 v 1 e 0\nb 0 {10 ** 25}\n",
+                             ["verify", "--input", "{path}"],
+                             {"type": "ParseError", "message":
+                              f"line 3: blob id {10 ** 25} does not fit in 64 bits"}),
+    "sg_blob_at_int64_bound": (f"splitgraph 1\nn {10 ** 29} k 1 v 1 e 0\nb 0 {2 ** 63}\n",
+                               ["verify", "--input", "{path}"],
+                               {"type": "ParseError", "message":
+                                f"line 3: blob id {2 ** 63} does not fit in 64 bits"}),
+    "sg_blob_far_beyond_v": (f"splitgraph 1\nn {10 ** 29} k 1 v 1 e 0\nb 0 {2 ** 63 - 1}\n",
+                             ["verify", "--input", "{path}"],
+                             {"type": "InvariantViolation", "message": "blob 0 is empty"}),
+    "sg_blob_beyond_v_bulk": ("splitgraph 1\nn 10000000000000 k 1 v 2 e 0\n"
+                              "b 0 0\nb 1 99999999999\n", ["verify", "--input", "{path}"],
+                              {"type": "InvariantViolation", "message": "blob 1 is empty"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_header_and_row_numbers_exit_1(name, tmp_path):
+    # the .ec guard counts the split's n * colors vertices at the header; a blob id
+    # is neither converted beyond int64 nor used to size an array
+    text, argv, error = OUT_OF_RANGE[name]
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [a.format(path=path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "splitfree.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=_limit_address_space)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": error, "passed": False}

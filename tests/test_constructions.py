@@ -286,3 +286,25 @@ def test_star_free_split_properties(n, t):
     assert -(-(n - 1) // (t - 1)) <= s.k <= -(-n // (t - 1)) + 1
     assert int(s.graph.degrees().max()) <= t - 1
     assert verify_split(s, "strict").passed
+
+
+def test_coloring_header_guard_counts_split_vertices(tmp_path, monkeypatch):
+    from splitfree import formats
+    from splitfree.errors import ParameterError, ParseError, SizeGuard
+
+    # every round robin the star guard admits (n <= 4096) fits under the file guard
+    assert 4096 * round_robin_coloring(4096).colors <= formats.MAX_FILE_VERTICES
+    monkeypatch.setattr(formats, "MAX_FILE_VERTICES", 10)
+    path = tmp_path / "c.ec"
+    write_coloring(two_c5_coloring(), path)        # 5 * 2 = 10 vertices: at the guard
+    assert read_coloring(path) == two_c5_coloring()
+    path.write_text("coloring 1\nn 5 colors 3\nc 0 1 0\n")
+    with pytest.raises(SizeGuard, match="line 2: 15 vertices; guard is 10"):
+        read_coloring(path)
+    # no split is built from a nonpositive count: those keep their own errors
+    path.write_text("coloring 1\nn -5 colors -3\n")
+    with pytest.raises(ParameterError):
+        read_coloring(path)
+    path.write_text("coloring 1\nn 100 colors 0\nc 0 1 0\n")
+    with pytest.raises(ParseError, match="color 0 outside"):
+        read_coloring(path)

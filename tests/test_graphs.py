@@ -447,6 +447,22 @@ def test_bulk_parse_matches_line_scanner(name, mutation, tmp_path, monkeypatch):
                 assert read(path) == obj
 
 
+def test_comment_lines_in_every_format(tmp_path):
+    # a comment is any line whose first token starts with '#', indented or not
+    from splitfree.constructions import read_coloring
+
+    path = tmp_path / "f"
+    path.write_text("#graph 2\ngraph 1\n  #v 9\nv 2 e 1\n\t#e 0 5\ne 0 1\n#\n")
+    assert formats.sniff(path) == "graph"
+    assert read_graph(path) == build_graph(2, [(0, 1)])
+    path.write_text("#splitgraph\n  # x\nsplitgraph 1\nn 2 k 1 v 2 e 1\n#b 0 1\nb 0 0\nb 1 1\ne 0 1\n")
+    assert formats.sniff(path) == "splitgraph"
+    assert read_split(path) == SplitGraph(build_graph(2, [(0, 1)]), np.array([0, 1]), 2, 1)
+    path.write_text("#c 0 1 0\ncoloring 1\nn 2 colors 1\n #n 3\nc 0 1 0\n")
+    assert formats.sniff(path) == "coloring"
+    assert read_coloring(path).color_of == {(0, 1): 0}
+
+
 def test_from_edge_keys_rejects_repeats():
     keys = np.array([6, 1, 6], dtype=np.int64)
     with pytest.raises(InvariantViolation, match="duplicate edge keys"):
