@@ -64,6 +64,7 @@ def read(path, kind: str) -> tuple[list[int], list]:
 
 
 def write(path, kind: str, nums, *sections) -> None:
+    """A `kind` file of header numbers `nums` and one section per row tag, as `read` gives."""
     shape, _, tags = FORMATS[kind]
     lines = [f"{kind} 1", " ".join(f"{name} {x}" for name, x in zip(shape.split()[::2], nums))]
     for tag, rows in zip(tags, sections):
