@@ -22,7 +22,7 @@ from .constructions import (
     round_robin_coloring,
     write_coloring,
 )
-from .fields import Field, FieldElement, make_prime_field, make_quadratic_field
+from .fields import Field, FieldElement, make_quadratic_field
 from .freeness import (
     BicliqueWitness,
     ForbiddenGraph,
@@ -55,7 +55,6 @@ from .probabilistic import (
     JansonDiagnostics,
     PairFailureEstimate,
     TrimResult,
-    TuranProfile,
     concentration_report,
     estimate_pair_failure,
     janson_diagnostics,

@@ -49,10 +49,11 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     C4 and K_{2,t}: high = floor(ell*(1 + sqrt(4(t-1)(ell-1)+1))/4) (exact
     integer arithmetic), low = 0 (no finite lower bound is certified).
     Stars K_{1,t}: exactly floor(ell*(t-1)/2).  Trees with t edges: clique
-    unions from below, ell*(t-1) from above.  Anything else is unsupported.
+    unions from below, ell*(t-1) from above.  Below |V(h)| every graph is
+    h-free, so both ends are C(ell, 2).  Anything else is unsupported.
     """
     if ell < h.graph.V:
-        raise ParameterError(f"need ell >= {h.graph.V} vertices, got {ell}")
+        return ell * (ell - 1) // 2, ell * (ell - 1) // 2
     kind, params = _family(h)
     if kind == "biclique" and params[0] == 2:
         t = params[1]
@@ -71,13 +72,6 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     raise UnsupportedFamily(f"no certified finite Turán bound for {h.spec}")
 
 
-def _ex_high(h: ForbiddenGraph, ell: int) -> int:
-    # below |V(h)| every graph is h-free, so the bound is all of K_ell
-    if ell < h.graph.V:
-        return ell * (ell - 1) // 2
-    return turan_bound(h, ell)[1]
-
-
 def necessary_k_lower(h: ForbiddenGraph, n: int) -> int:
     """Largest k whose certified bound forces ex(nk, h) < n(n-1)/2, reported
     as f(n, h) >= k; returns 1 when even k = 1 gives no contradiction."""
@@ -87,12 +81,12 @@ def necessary_k_lower(h: ForbiddenGraph, n: int) -> int:
         raise UnsupportedFamily(
             f"f(n, {h.spec}) is undefined: every split contains a single edge")
     target = n * (n - 1) // 2
-    lo, hi = 0, 1  # _ex_high grows with ell: double hi, then bisect; the k sought is in [lo, hi)
-    while _ex_high(h, n * hi) < target:
+    lo, hi = 0, 1  # the bound grows with ell: double hi, then bisect; the k sought is in [lo, hi)
+    while turan_bound(h, n * hi)[1] < target:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _ex_high(h, n * mid) < target else (lo, mid)
+        lo, hi = (mid, hi) if turan_bound(h, n * mid)[1] < target else (lo, mid)
     return max(lo, 1)
 
 
@@ -147,12 +141,12 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
         # necessary_k_lower raises unless h is a K_{2,t}, a star or a tree
         f_lower, notes = necessary_k_lower(h, n), [_STRICTNESS_NOTE]
         target = n * (n - 1) // 2
-        at_k = _ex_high(h, n * f_lower)
+        at_k = turan_bound(h, n * f_lower)[1]
         if at_k < target:
             lower_prov = (f"an h-free split needs ex(nk, {h.spec}) >= n(n-1)/2, and "
                           f"ex({n * f_lower}, {h.spec}) <= {at_k} < {target}, while "
                           f"ex({n * (f_lower + 1)}, {h.spec}) <= "
-                          f"{_ex_high(h, n * (f_lower + 1))} does not contradict k+1")
+                          f"{turan_bound(h, n * (f_lower + 1))[1]} does not contradict k+1")
         else:
             lower_prov = (f"no k is excluded: ex({n}, {h.spec}) <= {at_k} already "
                           f"reaches {target}; trivial bound k >= 1")

@@ -195,10 +195,7 @@ def _cmd_restrict(args) -> tuple[int, dict]:
 
 def _cmd_trim(args) -> tuple[int, dict]:
     g = _load_host(args.input)
-    profile = prob.TuranProfile(
-        a=args.a if args.a is not None else args.b,
-        b=args.b, C=args.c_lower, Cp=args.c_upper)
-    result = prob.trim_max_degree(g, profile, args.ex, args.q)
+    result = prob.trim_max_degree(g, args.b, args.c_upper, args.ex, args.q)
     out = {
         "subcommand": "trim",
         "seed": args.seed,
@@ -324,9 +321,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("trim")
     p.add_argument("--input", required=True)
-    p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c-lower", type=float, default=1.0)
     p.add_argument("--c-upper", type=float, default=1.0)
     p.add_argument("--ex", type=int, default=None)
     p.add_argument("--q", type=int, default=None, help="override the q formula")

@@ -36,7 +36,6 @@ MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits
 
 class PrimeSearch(NamedTuple):
     p: int
-    within_gap: bool  # p <= k + k**0.6, informational
 
 
 def next_prime(k: int) -> PrimeSearch:
@@ -46,7 +45,7 @@ def next_prime(k: int) -> PrimeSearch:
     p = k
     while not is_prime(p):
         p += 1
-    return PrimeSearch(p, p <= k + k ** 0.6)
+    return PrimeSearch(p)
 
 
 # ---------------------------------------------------------------------------

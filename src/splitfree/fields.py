@@ -1,10 +1,9 @@
-"""Exact arithmetic in GF(p) and in the quadratic extension GF(p^2).
+"""Exact arithmetic in the quadratic extension GF(p^2).
 
 Elements are coefficient pairs (c0, c1) meaning c0 + c1*w, where w is a root
 of the reduction polynomial x^2 + r1*x + r0 chosen at field construction.
-Prime-field elements always have c1 = 0.  The canonical ordering of elements
-(and of candidate reduction polynomials) is by the integer encoding
-c1*p + c0, so GF(4) enumerates as [0, 1, w, w+1].
+The canonical ordering of elements (and of candidate reduction polynomials)
+is by the integer encoding c1*p + c0, so GF(4) enumerates as [0, 1, w, w+1].
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import CompositeCharacteristic, ElementOutOfField
+from .errors import CompositeCharacteristic, ElementOutOfField, InvariantViolation
 
 
 class FieldElement(NamedTuple):
@@ -48,26 +45,23 @@ def _smallest_irreducible_quadratic(p: int) -> tuple[int, int]:
         r1, r0 = divmod(code, p)
         if all((x * x + r1 * x + r0) % p for x in range(p)):
             return r0, r1
-    raise AssertionError("no irreducible quadratic found; p is not prime")
+    raise InvariantViolation(f"no irreducible quadratic over GF({p}); {p} is not prime")
 
 
 @dataclass(frozen=True)
 class Field:
-    """GF(p) (degree 1) or GF(p^2) (degree 2) with a fixed reduction polynomial."""
+    """GF(p^2) with a fixed reduction polynomial."""
 
     p: int
-    degree: int
-    reduction: tuple[int, int] | None = None  # (r0, r1) of x^2 + r1*x + r0, degree 2 only
+    reduction: tuple[int, int]  # (r0, r1) of x^2 + r1*x + r0
 
     @property
     def order(self) -> int:
-        return self.p ** self.degree
+        return self.p * self.p
 
     def check(self, a: FieldElement) -> FieldElement:
         if not (0 <= a.c0 < self.p and 0 <= a.c1 < self.p):
             raise ElementOutOfField(f"{a} has coefficients outside [0, {self.p})")
-        if self.degree == 1 and a.c1 != 0:
-            raise ElementOutOfField(f"{a} has a nonzero extension coefficient in GF({self.p})")
         return a
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -77,8 +71,6 @@ class Field:
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self.check(a), self.check(b)
         p = self.p
-        if self.degree == 1:
-            return FieldElement(a.c0 * b.c0 % p, 0)
         # (a0 + a1 w)(b0 + b1 w) with w^2 = -r1 w - r0
         r0, r1 = self.reduction
         hi = a.c1 * b.c1
@@ -95,22 +87,13 @@ class Field:
 
     def mul_arrays(self, a0, a1, b0, b1):
         p = self.p
-        if self.degree == 1:
-            return (a0 * b0) % p, np.zeros_like(a0)
         r0, r1 = self.reduction
         hi = a1 * b1
         return (a0 * b0 - hi * r0) % p, (a0 * b1 + a1 * b0 - hi * r1) % p
-
-
-def make_prime_field(p: int) -> Field:
-    """GF(p) for prime p; raises CompositeCharacteristic otherwise."""
-    if not is_prime(p):
-        raise CompositeCharacteristic(f"{p} is not prime")
-    return Field(p=p, degree=1)
 
 
 def make_quadratic_field(p: int) -> Field:
     """GF(p^2) with the canonical (smallest-encoding) irreducible reduction polynomial."""
     if not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
-    return Field(p=p, degree=2, reduction=_smallest_irreducible_quadratic(p))
+    return Field(p=p, reduction=_smallest_irreducible_quadratic(p))

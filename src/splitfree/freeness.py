@@ -29,9 +29,6 @@ class ForbiddenGraph:
     graph: Graph
     spec: str
 
-    def __str__(self) -> str:
-        return self.spec
-
 
 def _cycle(k: int) -> Graph:
     return build_graph(k, [(i, (i + 1) % k) for i in range(k)])

@@ -221,30 +221,6 @@ def random_split(host: Graph, n: int, k_cap: int, trials: int,
 # Degree trimming
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TuranProfile:
-    """Extremal-count exponents and constants: C*l^a <= ex(l, H) <= Cp*l^b."""
-
-    a: float
-    b: float
-    C: float
-    Cp: float
-    r: float | None = None
-
-    def __post_init__(self):
-        if not (1.0 < self.a <= self.b < 2.0):
-            raise ParameterError(f"need 1 < a <= b < 2, got a={self.a}, b={self.b}")
-        if self.C <= 0 or self.Cp <= 0:
-            raise ParameterError("constants must be positive")
-        if self.r is not None and not (self.a == self.b == self.r):
-            raise ParameterError("r, when set, must equal both exponents")
-
-    @property
-    def gap_ok(self) -> bool:
-        """Whether b - a < (2-b)(b-1)/(5-b); reported, never enforced."""
-        return self.b - self.a < (2 - self.b) * (self.b - 1) / (5 - self.b)
-
-
 @dataclass
 class Case1Certificate:
     """The dense-pair evidence from the top-degree case: part j maximizes the
@@ -266,7 +242,7 @@ class TrimResult:
     certificate: Case1Certificate | None = None  # case 1
 
 
-def trim_max_degree(g: Graph, profile: TuranProfile,
+def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
                     ex_override: int | None = None,
                     q_override: int | None = None) -> TrimResult:
     """Erdos-Simonovits-style trimming of the top-degree vertices.
@@ -277,9 +253,14 @@ def trim_max_degree(g: Graph, profile: TuranProfile,
     procedure returns a certificate exhibiting a pair of parts whose union
     is unusually dense (case 1).
 
-    ex defaults to 2m, treating the input's edge count as half the extremal
+    q comes from the upper Turan bound ex(l, H) <= cp*l^b, 1 < b < 2.  ex
+    defaults to 2m, treating the input's edge count as half the extremal
     count; pass ex_override when the true extremal value is known.
     """
+    if not 1.0 < b < 2.0:
+        raise ParameterError(f"need 1 < b < 2, got b={b}")
+    if not cp > 0:
+        raise ParameterError(f"need cp > 0, got {cp}")
     ell, m = g.V, g.M
     if ell < 3 or m < 1:
         raise ParameterError(f"need >= 3 vertices and >= 1 edge, got ({ell}, {m})")
@@ -289,7 +270,6 @@ def trim_max_degree(g: Graph, profile: TuranProfile,
         q = q_override
     else:
         ex = ex_override if ex_override is not None else 2 * m
-        b, cp = profile.b, profile.Cp
         coeff = cp ** (1 / (b - 1)) * 2 ** ((b + 1) / (b - 1) + 1)
         q = max(3, math.floor(coeff * (ell ** b / ex) ** (1 / (b - 1))))
 

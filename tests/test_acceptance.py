@@ -30,7 +30,6 @@ from splitfree.graphs import (
     write_graph,
 )
 from splitfree.probabilistic import (
-    TuranProfile,
     estimate_pair_failure,
     janson_diagnostics,
     trim_max_degree,
@@ -245,10 +244,9 @@ def test_criterion_7_from_coloring(capsys, tmp_path):
 def test_criterion_8_trimming():
     @criterion("8", "forced-q trimming: case 2 keeps > m/2 edges at low degree; case 1 certifies")
     def check():
-        profile = TuranProfile(a=1.5, b=1.5, C=1.0, Cp=1.0)
         c10s = build_graph(20, [(i, (i + 1) % 10) for i in range(10)]
                                + [(10 + i, 10 + (i + 1) % 10) for i in range(10)])
-        res = trim_max_degree(c10s, profile, q_override=10)
+        res = trim_max_degree(c10s, 1.5, 1.0, q_override=10)
         assert res.case == 2
         assert res.graph.M > 20 / 2
         assert int(res.graph.degrees().max()) <= 10 * 20 / 20
@@ -257,7 +255,7 @@ def test_criterion_8_trimming():
         for i in range(4):
             a = 3 * i
             tris += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
-        res = trim_max_degree(build_graph(12, tris), profile, q_override=3)
+        res = trim_max_degree(build_graph(12, tris), 1.5, 1.0, q_override=3)
         assert res.case == 1
         assert res.certificate.lower_bound == 12 / (2 * (3 - 1)) == 3
         assert res.certificate.union_edge_count >= 3
@@ -282,7 +280,7 @@ def test_criterion_9_oracle_equivalence():
 # -- 10: field axioms ----------------------------------------------------------
 
 def test_criterion_10_fields():
-    @criterion("10", "field axioms hold exhaustively for GF(p), GF(p^2), p in {2,3,5,7}")
+    @criterion("10", "field axioms hold exhaustively for GF(p^2), p in {2,3,5,7}")
     def check():
         from test_fields import all_fields, test_field_axioms_exhaustive
         for f in all_fields():

@@ -82,8 +82,9 @@ def test_turan_unsupported():
     for spec in ("C6", "C10", "K3,3"):
         with pytest.raises(UnsupportedFamily):
             turan_bound(parse_forbidden_spec(spec), 100)
-    with pytest.raises(ParameterError):
-        turan_bound(parse_forbidden_spec("C4"), 3)  # ell below |V(H)|
+    # below |V(H)| every graph is H-free: exactly C(ell, 2), even for K3,3
+    assert turan_bound(parse_forbidden_spec("C4"), 3) == (3, 3)
+    assert turan_bound(parse_forbidden_spec("K3,3"), 5) == (10, 10)
 
 
 def test_necessary_k_lower_c4_1000():
@@ -108,7 +109,7 @@ def _linear_k_lower(h, n: int) -> int:
     """The former one-step-at-a-time scan, kept as the reference."""
     target = n * (n - 1) // 2
     k = 0
-    while bounds._ex_high(h, n * (k + 1)) < target:
+    while bounds.turan_bound(h, n * (k + 1))[1] < target:
         k += 1
     return max(k, 1)
 
@@ -125,8 +126,8 @@ def test_necessary_k_lower_matches_linear_scan(tmp_path):
 def test_necessary_k_lower_at_huge_n(capsys, monkeypatch):
     # doubling then bisection: O(log f) bound evaluations, not f of them
     calls = []
-    ex_high = bounds._ex_high
-    monkeypatch.setattr(bounds, "_ex_high", lambda h, ell: calls.append(ell) or ex_high(h, ell))
+    turan = bounds.turan_bound
+    monkeypatch.setattr(bounds, "turan_bound", lambda h, ell: calls.append(ell) or turan(h, ell))
     for spec, k in (("S3", 499999999999), ("P4", 249999999999)):
         calls.clear()
         start = time.perf_counter()

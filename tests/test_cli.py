@@ -153,6 +153,14 @@ def test_trim_cli(capsys, tmp_path):
     assert code == 0 and result["case"] == 2 and result["edges"] == 17
 
 
+def test_trim_removed_flags_exit_2(capsys):
+    # --a and --c-lower fed only a profile check; trim reads b and --c-upper alone
+    assert build_parser().parse_args(["trim", "--input", "x.g", "--b", "1.5"]).c_upper == 1.0
+    for flag, value in (("--a", "1.2"), ("--c-lower", "2")):
+        assert run(["trim", "--input", "x.g", "--b", "1.5", flag, value]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --") == 2
+
+
 def test_bounds_cli(capsys):
     code, result = invoke(capsys, "bounds", "--forbidden", "C4", "--n", "1000")
     assert code == 0

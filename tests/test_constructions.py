@@ -39,7 +39,7 @@ def test_next_prime_examples():
     assert next_prime(10).p == 11
     assert next_prime(11).p == 11
     result = next_prime(24)
-    assert result.p == 29 and result.within_gap  # 29 <= 24 + 24**0.6 ~ 30.7
+    assert result.p == 29
     with pytest.raises(ParameterError):
         next_prime(1)
 

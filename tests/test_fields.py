@@ -1,18 +1,17 @@
 """Field arithmetic: frozen small-case values plus exhaustive axiom checks
-for every supported order up to 49."""
+for GF(p^2) at every p up to 7."""
 
 import numpy as np
 import pytest
 
 from splitfree.errors import CompositeCharacteristic, ElementOutOfField
-from splitfree.fields import FieldElement, make_prime_field, make_quadratic_field
+from splitfree.fields import FieldElement, make_quadratic_field
 
 PRIMES = [2, 3, 5, 7]
 
 
 def all_fields():
-    return [make_prime_field(p) for p in PRIMES] + \
-           [make_quadratic_field(p) for p in PRIMES]
+    return [make_quadratic_field(p) for p in PRIMES]
 
 
 def elements(f):
@@ -26,10 +25,10 @@ def index(f, a):
 
 
 def test_prime_field_examples():
-    assert make_prime_field(7).order == 7
-    assert make_prime_field(2).order == 2
+    assert make_quadratic_field(7).order == 49
+    assert make_quadratic_field(2).order == 4
     with pytest.raises(CompositeCharacteristic):
-        make_prime_field(9)
+        make_quadratic_field(9)
     with pytest.raises(CompositeCharacteristic):
         make_quadratic_field(10)
 
@@ -60,9 +59,9 @@ def test_arith_examples():
     x = FieldElement(0, 1)
     assert gf4.mul(x, x) == FieldElement(1, 1)  # x^2 = x + 1 under x^2+x+1
 
-    gf7 = make_prime_field(7)
-    assert gf7.add(FieldElement(3), FieldElement(5)) == FieldElement(1)
-    assert gf7.mul(FieldElement(3), FieldElement(5)) == FieldElement(1)
+    gf49 = make_quadratic_field(7)  # the prime subfield: c1 = 0
+    assert gf49.add(FieldElement(3), FieldElement(5)) == FieldElement(1)
+    assert gf49.mul(FieldElement(3), FieldElement(5)) == FieldElement(1)
 
     gf9 = make_quadratic_field(3)
     assert gf9.reduction == (1, 0)
@@ -76,14 +75,13 @@ def inverses(f, a):
 
 def test_invert_examples():
     assert inverses(make_quadratic_field(2), FieldElement(0, 1)) == [FieldElement(1, 1)]
-    assert inverses(make_prime_field(7), FieldElement(3)) == [FieldElement(5)]
+    assert inverses(make_quadratic_field(7), FieldElement(3)) == [FieldElement(5)]
     for f in all_fields():
         assert inverses(f, FieldElement(1)) == [FieldElement(1)]
         assert inverses(f, FieldElement(0)) == []
 
 
 def test_enumerate_examples():
-    assert elements(make_prime_field(2)) == [FieldElement(0), FieldElement(1)]
     assert elements(make_quadratic_field(2)) == [
         FieldElement(0, 0), FieldElement(1, 0), FieldElement(0, 1), FieldElement(1, 1)]
     for f in all_fields():
@@ -94,11 +92,11 @@ def test_enumerate_examples():
 
 
 def test_element_validation():
-    gf7 = make_prime_field(7)
+    gf49 = make_quadratic_field(7)
     with pytest.raises(ElementOutOfField):
-        gf7.add(FieldElement(7, 0), FieldElement(0))
+        gf49.add(FieldElement(7, 0), FieldElement(0))
     with pytest.raises(ElementOutOfField):
-        gf7.mul(FieldElement(1, 1), FieldElement(1))  # extension coeff in GF(p)
+        gf49.mul(FieldElement(1, 7), FieldElement(1))
     gf4 = make_quadratic_field(2)
     with pytest.raises(ElementOutOfField):
         gf4.mul(FieldElement(2, 0), FieldElement(1, 0))

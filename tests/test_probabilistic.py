@@ -21,7 +21,6 @@ from splitfree.probabilistic import (
     MC_BATCH,
     FailureStats,
     PairFailureEstimate,
-    TuranProfile,
     concentration_report,
     estimate_pair_failure,
     janson_diagnostics,
@@ -198,12 +197,12 @@ def four_triangles() -> Graph:
     return build_graph(12, edges)
 
 
-PROFILE = TuranProfile(a=1.5, b=1.5, C=1.0, Cp=1.0, r=1.5)
+B, CP = 1.5, 1.0  # the Turan profile ex(l, H) <= CP * l**B used by the trim tests
 
 
 def test_trim_case2_two_c10s():
     g = two_c10s()
-    result = trim_max_degree(g, PROFILE, q_override=10)
+    result = trim_max_degree(g, B, CP, q_override=10)
     assert result.case == 2 and result.q == 10
     # oracle: remove the two lowest-id vertices (all degrees tie at 2) by hand
     removed = {0, 1}
@@ -216,7 +215,7 @@ def test_trim_case2_two_c10s():
 
 def test_trim_case1_four_triangles():
     g = four_triangles()
-    result = trim_max_degree(g, PROFILE, q_override=3)
+    result = trim_max_degree(g, B, CP, q_override=3)
     assert result.case == 1 and result.q == 3
     cert = result.certificate
     assert cert.parts[0] == [0, 1, 2, 3]
@@ -246,23 +245,18 @@ def test_trim_q_formula():
         u += 1
     g = Graph(ell, np.concatenate(edges))
     assert g.M == m
-    result = trim_max_degree(g, PROFILE)
+    result = trim_max_degree(g, B, CP)
     assert result.q == 64
 
 
 def test_trim_validation():
+    for b, cp in ((1.0, CP), (2.0, CP), (B, 0.0), (B, -1.0)):
+        with pytest.raises(ParameterError):
+            trim_max_degree(two_c10s(), b, cp, q_override=10)
     with pytest.raises(ParameterError):
-        TuranProfile(a=1.0, b=1.5, C=1.0, Cp=1.0)
+        trim_max_degree(two_c10s(), B, CP, q_override=2)
     with pytest.raises(ParameterError):
-        TuranProfile(a=1.5, b=1.4, C=1.0, Cp=1.0)
-    with pytest.raises(ParameterError):
-        TuranProfile(a=1.5, b=1.5, C=1.0, Cp=1.0, r=1.4)
-    assert TuranProfile(a=1.5, b=1.5, C=1.0, Cp=1.0).gap_ok  # 0 < (2-b)(b-1)/(5-b)
-    assert not TuranProfile(a=1.2, b=1.9, C=1.0, Cp=1.0).gap_ok
-    with pytest.raises(ParameterError):
-        trim_max_degree(two_c10s(), PROFILE, q_override=2)
-    with pytest.raises(ParameterError):
-        trim_max_degree(Graph(2, np.empty((0, 2), np.int64)), PROFILE)
+        trim_max_degree(Graph(2, np.empty((0, 2), np.int64)), B, CP)
 
 
 
@@ -306,7 +300,7 @@ def trim_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_trim_matches_list_reference(data):
     g, q = data
-    result = trim_max_degree(g, PROFILE, q_override=q)
+    result = trim_max_degree(g, B, CP, q_override=q)
     deg = g.degrees()
     a1 = sorted(range(g.V), key=lambda v: (-deg[v], v))[:-(-g.V // q)]
     if int(deg[a1].sum()) < g.M / 2:
