@@ -21,12 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import formats
-from .errors import (
-    ColoringIncomplete,
-    ParameterError,
-    SizeGuard,
-    TooLarge,
-)
+from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard, TooLarge
 from .fields import Field, is_prime, make_quadratic_field
 from .graphs import Graph, SplitGraph, prune_to_split, restrict_blobs
 
@@ -88,7 +83,6 @@ class AffinePlane:
 
 def build_affine_plane(p: int, max_p: int | None = None) -> AffinePlane:
     if not is_prime(p):
-        from .errors import CompositeCharacteristic
         raise CompositeCharacteristic(f"{p} is not prime")
     limit = MAX_AFFINE_P if max_p is None else max_p
     if p > limit:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrammarError, InstanceTooLarge, InvariantViolation, ParameterError, PatternTooLarge
-from .graphs import Graph, build_graph, read_graph
+from .errors import (GrammarError, InstanceTooLarge, InvariantViolation, ParameterError,
+                     PatternTooLarge, SizeGuard)
+from .formats import MAX_FILE_VERTICES
+from .graphs import Graph, read_graph
 
 ORACLE_PATTERN_CAP = 12   # contains_subgraph is for desk-scale cross-checks
 KST_ENUM_CAP = 1 << 12    # host-size cap for the exhaustive s >= 3 search
@@ -30,16 +32,26 @@ class ForbiddenGraph:
     spec: str
 
 
+def _sized(spec: str, vcount: int, ecount: int) -> None:
+    """Refuse a pattern above the file guard before any of it is built."""
+    if max(vcount, ecount) > MAX_FILE_VERTICES:
+        raise SizeGuard(f"{spec} has {vcount} vertices and {ecount} edges; "
+                        f"guard is {MAX_FILE_VERTICES}")
+
+
 def _cycle(k: int) -> Graph:
-    return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+    i = np.arange(k, dtype=np.int64)
+    return Graph(k, np.column_stack((i, (i + 1) % k)))
 
 
 def _biclique(s: int, t: int) -> Graph:
-    return build_graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
+    left = np.repeat(np.arange(s, dtype=np.int64), t)
+    return Graph(s + t, np.column_stack((left, s + np.tile(np.arange(t, dtype=np.int64), s))))
 
 
 def _path(k: int) -> Graph:
-    return build_graph(k, [(i, i + 1) for i in range(k - 1)])
+    i = np.arange(k - 1, dtype=np.int64)
+    return Graph(k, np.column_stack((i, i + 1)))
 
 
 def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
@@ -48,21 +60,25 @@ def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
         k = int(m.group(1))
         if k < 3:
             raise ParameterError(f"cycle length must be >= 3, got {k}")
+        _sized(spec, k, k)
         return ForbiddenGraph("cycle", (k,), _cycle(k), spec)
     if m := re.fullmatch(r"K(\d+),(\d+)", spec):
         s, t = int(m.group(1)), int(m.group(2))
         if not 1 <= s <= t:
             raise ParameterError(f"biclique needs 1 <= s <= t, got ({s}, {t})")
+        _sized(spec, s + t, s * t)
         return ForbiddenGraph("biclique", (s, t), _biclique(s, t), spec)
     if m := re.fullmatch(r"S(\d+)", spec):
         t = int(m.group(1))
         if t < 1:
             raise ParameterError(f"star needs t >= 1, got {t}")
+        _sized(spec, t + 1, t)
         return ForbiddenGraph("star", (t,), _biclique(1, t), spec)
     if m := re.fullmatch(r"P(\d+)", spec):
         k = int(m.group(1))
         if k < 2:
             raise ParameterError(f"path needs >= 2 vertices, got {k}")
+        _sized(spec, k, k - 1)
         return ForbiddenGraph("path", (k,), _path(k), spec)
     if m := re.fullmatch(r"file:(.+)", spec):
         return ForbiddenGraph("explicit", (), read_graph(m.group(1)), spec)

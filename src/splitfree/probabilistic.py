@@ -259,7 +259,7 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
     """
     if not 1.0 < b < 2.0:
         raise ParameterError(f"need 1 < b < 2, got b={b}")
-    if not cp > 0:
+    if cp <= 0:
         raise ParameterError(f"need cp > 0, got {cp}")
     ell, m = g.V, g.M
     if ell < 3 or m < 1:
@@ -270,8 +270,14 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
         q = q_override
     else:
         ex = ex_override if ex_override is not None else 2 * m
-        coeff = cp ** (1 / (b - 1)) * 2 ** ((b + 1) / (b - 1) + 1)
-        q = max(3, math.floor(coeff * (ell ** b / ex) ** (1 / (b - 1))))
+        if not (math.isfinite(cp) and ex >= 1):
+            raise ParameterError(f"the q formula needs a finite cp and ex >= 1, got {cp}, {ex}")
+        try:
+            coeff = cp ** (1 / (b - 1)) * 2 ** ((b + 1) / (b - 1) + 1)
+            q = max(3, math.floor(coeff * (ell ** b / ex) ** (1 / (b - 1))))
+        except OverflowError:
+            raise ParameterError(
+                f"the q formula overflows at b={b}, cp={cp}, ex={ex}; pass q instead") from None
 
     deg = g.degrees()
     by_degree = np.lexsort((np.arange(ell), -deg))  # ties to lower ids

@@ -153,6 +153,29 @@ def test_trim_cli(capsys, tmp_path):
     assert code == 0 and result["case"] == 2 and result["edges"] == 17
 
 
+TRIM_FORMULA_REFUSED = {  # flags after --b 1.5 on two disjoint C10s; each once ended in a traceback
+    "ex_zero": ["--ex", "0"],                      # ZeroDivisionError
+    "ex_negative": ["--ex", "-5"],                 # printed a case-2 result at q = 20480
+    "ex_huge": ["--ex", str(10 ** 400)],           # OverflowError
+    "b_near_one": ["--b", "1.0000001"],            # OverflowError
+    "c_upper_huge": ["--c-upper", "1e308"],        # OverflowError
+    "c_upper_inf": ["--c-upper", "inf"],           # OverflowError
+    "c_upper_nan": ["--c-upper", "nan"],           # ValueError
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIM_FORMULA_REFUSED))
+def test_trim_q_formula_inputs_exit_1(name, capsys, tmp_path):
+    host = tmp_path / "c10s.g"
+    c10 = cycle_graph(10).edges
+    write_graph(Graph(20, np.concatenate([c10, c10 + 10])), host)
+    code, result = invoke(capsys, "trim", "--input", str(host), "--b", "1.5",
+                          *TRIM_FORMULA_REFUSED[name])
+    assert code == 1 and not result["passed"]
+    assert result["error"]["type"] == "ParameterError"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_trim_removed_flags_exit_2(capsys):
     # --a and --c-lower fed only a profile check; trim reads b and --c-upper alone
     assert build_parser().parse_args(["trim", "--input", "x.g", "--b", "1.5"]).c_upper == 1.0
@@ -267,6 +290,11 @@ GUARDED = {
     "bounds_c5_huge_n": ["bounds", "--forbidden", "C5", "--n", "100000000", "--certify"],
     "star_huge_n": ["construct", "star", "--n", "1000000", "--t", "3"],
     "bounds_s3_huge_n": ["bounds", "--forbidden", "S3", "--n", "1000000", "--certify"],
+    # pattern specs: counted from the spec's numbers before the pattern is built
+    "bounds_huge_cycle": ["bounds", "--forbidden", "C100000000", "--n", "5"],
+    "bounds_huge_path": ["bounds", "--forbidden", "P100000000", "--n", "5"],
+    "bounds_huge_biclique": ["bounds", "--forbidden", "K2,100000000000000000000", "--n", "100"],
+    "star_default_check_huge_t": ["construct", "star", "--n", "10", "--t", str(10 ** 23)],
 }
 
 

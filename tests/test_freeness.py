@@ -27,6 +27,7 @@ from splitfree.errors import (
     InvariantViolation,
     ParameterError,
     PatternTooLarge,
+    SizeGuard,
 )
 from splitfree.freeness import (
     BicliqueWitness,
@@ -54,6 +55,25 @@ def test_parse_examples():
     for junk in ("Q4", "C4,4", "K2", "", "c4"):
         with pytest.raises(GrammarError):
             parse_forbidden_spec(junk)
+
+
+def test_parse_patterns_match_listed_edges():
+    # the array-built patterns equal the graphs written out edge by edge
+    for k in range(3, 9):
+        assert parse_forbidden_spec(f"C{k}").graph == cycle_graph(k)
+        assert parse_forbidden_spec(f"P{k}").graph == path_graph(k)
+    for s, t in ((1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 4)):
+        assert parse_forbidden_spec(f"K{s},{t}").graph == biclique_graph(s, t)
+    assert parse_forbidden_spec("S4").graph == biclique_graph(1, 4)
+
+
+def test_parse_size_guard_counts_the_spec():
+    # refused from the spec's numbers alone: nothing of the pattern is built
+    cap = freeness.MAX_FILE_VERTICES
+    for spec in (f"C{cap + 1}", f"P{cap + 1}", f"S{cap}", f"K1,{cap}", f"K4,{cap // 4 + 1}",
+                 f"K{cap},{cap}", "K2,100000000000000000000", f"S{10 ** 23}"):
+        with pytest.raises(SizeGuard):
+            parse_forbidden_spec(spec)
 
 
 def test_parse_file(tmp_path):

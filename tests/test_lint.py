@@ -16,6 +16,22 @@ def test_package_has_no_assert_statements():
     assert sorted(PACKAGE.glob("*.py")) and not found, found
 
 
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_package_raises_no_assertion_error():
+    """An AssertionError escapes the CLI as a traceback, since it is not a
+    SplitfreeError; a broken invariant raises InvariantViolation instead."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and _raised_name(node) == "AssertionError"]
+    assert not found, found
+
+
 def test_no_module_imports_another_modules_private_names():
     """A module's underscore names are its own: another module that needs one
     needs a public name, or the code belongs in the owning module."""
