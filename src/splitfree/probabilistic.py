@@ -29,6 +29,8 @@ MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's colors, counted at 8 B each
 
 
 def _trial_rng(seed: int, t: int) -> np.random.Generator:
+    if seed < 0:  # SeedSequence takes no negative entropy
+        raise ParameterError(f"need seed >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
 
 
@@ -276,8 +278,7 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
             coeff = cp ** (1 / (b - 1)) * 2 ** ((b + 1) / (b - 1) + 1)
             q = max(3, math.floor(coeff * (ell ** b / ex) ** (1 / (b - 1))))
         except OverflowError:
-            raise ParameterError(
-                f"the q formula overflows at b={b}, cp={cp}, ex={ex}; pass q instead") from None
+            raise ParameterError(f"the q formula overflows at b={b}, cp={cp}, ex={ex}") from None
 
     deg = g.degrees()
     by_degree = np.lexsort((np.arange(ell), -deg))  # ties to lower ids
