@@ -7,10 +7,10 @@ exp(-min(mu^2/(48 D), mu/4)) where mu = 2M/n^2 is the expected number of
 {i, j}-bicolored edges and D = (2/n^3) * sum_u C(deg(u), 2) accounts for
 pairs of edges sharing an endpoint (the only dependent pairs).
 
-All randomness is a pure function of (seed, trial): trial t draws from
-numpy's default generator seeded with SeedSequence(entropy=seed,
-spawn_key=(t,)), so results are reproducible and independent of how trials
-are batched across workers.
+All randomness is a pure function of the seed (an integer >= 0): trial t of
+random_split, and batch t of estimate_pair_failure, draw from numpy's default
+generator seeded with SeedSequence(entropy=seed, spawn_key=(t,)), so a result
+depends only on the inputs and the seed, in one process with no workers.
 """
 
 from __future__ import annotations
@@ -176,8 +176,8 @@ def random_split(host: Graph, n: int, k_cap: int, trials: int,
     classes; the accepted coloring is pruned to a strict split (a subgraph
     of the host, so host freeness properties carry over).
 
-    Trial t colors with the rng derived from (seed, t); results are
-    independent of batching or worker count.
+    Trial t colors with the rng derived from (seed, t) alone, so a run with
+    more trials repeats the trials of a shorter one before its own.
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
