@@ -4,15 +4,17 @@ must not change byte for byte.
 The runs cover every report class (verification, Janson, concentration,
 pair-failure estimate, failure stats, case-1 certificate, bound report,
 Ramsey bounds), every branch of `split_bounds`, both `trim` cases, and an
-accepted and a rejected `random-split`.  They run in order in one temporary
+accepted and a rejected `random-split`, and a found witness from every checker.  They run in order in one temporary
 directory with relative paths, since paths appear in stdout; later runs read
 files written by earlier ones.
 
 The expected outputs in golden_cli.json were recorded from the program as it
 was before its reports lost their hand-written `to_dict` methods; since then
 only `bounds --forbidden K3,3 --n 5` changed on purpose, from an error to the
-trivial report that every pattern gets when n < |V(H)|.  Record them again
-only for an intended output change:
+trivial report that every pattern gets when n < |V(H)|.  The found-witness
+runs at the end were appended later, recorded from the program as it was
+before the forbidden-pattern dispatch was rewritten.  Record them again only
+for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -79,6 +81,15 @@ CASES = [
     "bounds --forbidden K3,3 --n 10",
     "bounds --forbidden K3,3 --n 5",
     "bounds --forbidden P2 --n 5",
+    # found witnesses: each checker's mapping from pattern to host vertices
+    "construct bipartite --n 6 --forbidden C4 -o bip6.sg",
+    "verify --input bip6.sg --forbidden C4",
+    "verify --input bip6.sg --forbidden K2,2",
+    "verify --input bip6.sg --forbidden K2,3",
+    "verify --input bip6.sg --forbidden K1,3",
+    "verify --input bip6.sg --forbidden S3",
+    "verify --input bip6.sg --forbidden C5",
+    "random-split --input bip6.sg --n 5 --k-cap 3 --trials 500 --seed 0 --forbidden C4 -o rs5.sg",
 ]
 
 
