@@ -32,16 +32,6 @@ def _is_tree(h: ForbiddenGraph) -> bool:
     return g.M == g.V - 1 and int(connected_components(g).max()) == 0
 
 
-def _family(h: ForbiddenGraph) -> tuple[str, tuple]:
-    """(kind, params) with C4 read as K2,2 and K1,t as the star S_t."""
-    kind, params = h.kind, h.params
-    if kind == "cycle" and params[0] == 4:
-        kind, params = "biclique", (2, 2)
-    if kind == "biclique" and params[0] == 1:
-        kind, params = "star", (params[1],)
-    return kind, params
-
-
 def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     """Certified interval [low, high] for the maximum edge count of an
     h-free graph on ell vertices.
@@ -54,17 +44,15 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     """
     if ell < h.graph.V:
         return ell * (ell - 1) // 2, ell * (ell - 1) // 2
-    kind, params = _family(h)
-    if kind == "biclique" and params[0] == 2:
-        t = params[1]
+    s, t = map(len, h.sides or ((), ()))  # K_{s,t}, with C4 = K2,2 and S_t = K1,t; else 0, 0
+    if s == 2:
         disc = 4 * (t - 1) * (ell - 1) + 1
         high = (ell + math.isqrt(disc * ell * ell)) // 4
         return 0, high
-    if kind == "star":
-        t = params[0]
+    if s == 1:
         exact = ell * (t - 1) // 2
         return exact, exact
-    if kind == "path" or (kind == "explicit" and _is_tree(h)):
+    if h.kind == "path" or (h.kind == "explicit" and _is_tree(h)):
         t = h.graph.M
         cliques, rest = divmod(ell, t)
         low = cliques * (t * (t - 1) // 2) + rest * (rest - 1) // 2
@@ -150,8 +138,8 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
         else:
             lower_prov = (f"no k is excluded: ex({n}, {h.spec}) <= {at_k} already "
                           f"reaches {target}; trivial bound k >= 1")
-        kind, params = _family(h)
-        if kind == "biclique":
+        s, t = map(len, h.sides or ((), ()))
+        if s == 2:
             if n < 8:
                 f_upper, upper_prov, certified = None, "pipeline needs n >= 8", False
             else:
@@ -159,8 +147,7 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
                 f_upper, certified = 2 * p, True
                 upper_prov = f"affine-plane pipeline: prime p={p}, blob size 2p"
                 builder = partial(construct_c4_free_split, n)
-        elif kind == "star":
-            t = params[0]
+        elif s == 1:
             f_upper, certified = star_blob_size(n, t), True
             upper_prov = (f"round-robin rounds grouped {f_upper} ways, "
                           f"each group at most {t - 1} matchings")

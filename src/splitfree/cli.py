@@ -48,18 +48,41 @@ def _load_host(path) -> Graph:
     return read_split(path).graph if formats.sniff(path) == "splitgraph" else read_graph(path)
 
 
-def _forbidden_result(graph: Graph, spec: str | None) -> dict | None:
-    if spec is None:
-        return None
-    h = parse_forbidden_spec(spec)
-    mapping = check_forbidden(graph, h)
-    return {"spec": spec, "free": mapping is None, "witness": witness_json(mapping)}
+# the bipartite construction's own check: its 2-coloring rules out every non-bipartite graph
+_TWO_COLORED = object()
 
 
-def _construct_result(args, split: SplitGraph, construction: str, params: dict,
-                      mode: str, forbidden_default: str | None) -> tuple[int, dict]:
+def _checked(split: SplitGraph, mode: str, spec) -> tuple:
+    """(verification report, forbidden-pattern result or None, whether both passed)."""
+    report, fr = verify_split(split, mode), None
+    if spec is _TWO_COLORED:
+        fr = {"spec": "any non-bipartite graph",
+              "free": two_coloring(split.graph) is not None, "witness": None}
+    elif spec is not None:
+        mapping = check_forbidden(split.graph, parse_forbidden_spec(spec))
+        fr = {"spec": spec, "free": mapping is None, "witness": witness_json(mapping)}
+    return report, fr, report.passed and (fr is None or fr["free"])
+
+
+# kind -> (required flags, builder taking them (and --max-p), verification mode,
+#          default pattern, formatted with the flags)
+_CONSTRUCTIONS = {
+    "affine": ({"p": int}, cons.build_affine_split, "lax", "C4"),
+    "c4pipeline": ({"n": int}, cons.construct_c4_free_split, "strict", "C4"),
+    "bipartite": ({"n": int}, cons.build_bipartite_split, "strict", _TWO_COLORED),
+    "star": ({"n": int, "t": int}, cons.build_star_free_split, "strict", "S{t}"),
+    "from-coloring": ({"input": str}, lambda path: cons.build_split_from_coloring(
+        cons.read_coloring(path)), "strict", None),
+}
+_MAX_P = ("affine", "c4pipeline")  # the constructions that take --max-p
+
+
+def _cmd_construct(args) -> tuple[int, dict]:
+    flags, build, mode, default = _CONSTRUCTIONS[args.construction]
+    params = {flag: getattr(args, flag) for flag in flags}
+    split = build(*params.values(), *([args.max_p] if "max_p" in args else []))
     out = {
-        "subcommand": f"construct {construction}",
+        "subcommand": f"construct {args.construction}",
         "seed": args.seed,
         "params": params,
         "n": split.n,
@@ -74,40 +97,10 @@ def _construct_result(args, split: SplitGraph, construction: str, params: dict,
     if args.output:
         write_split(split, args.output)
     if not args.no_verify:
-        report = verify_split(split, mode)
-        out["verification"] = report
-        if construction == "bipartite" and args.forbidden is None:
-            fr = {"spec": "any non-bipartite graph",
-                  "free": two_coloring(split.graph) is not None,
-                  "witness": None}
-        else:
-            fr = _forbidden_result(split.graph, args.forbidden or forbidden_default)
-        out["forbidden"] = fr
-        out["passed"] = report.passed and (fr is None or fr["free"])
+        default = default.format_map(params) if isinstance(default, str) else default
+        out["verification"], out["forbidden"], out["passed"] = _checked(
+            split, mode, args.forbidden or default)
     return (0 if out["passed"] else 1), out
-
-
-def _cmd_construct(args) -> tuple[int, dict]:
-    kind = args.construction
-    if kind == "affine":
-        split = cons.build_affine_split(args.p, args.max_p)
-        return _construct_result(args, split, "affine", {"p": args.p}, "lax", "C4")
-    if kind == "c4pipeline":
-        split = cons.construct_c4_free_split(args.n, args.max_p)
-        return _construct_result(args, split, "c4pipeline", {"n": args.n}, "strict", "C4")
-    if kind == "bipartite":
-        split = cons.build_bipartite_split(args.n)
-        return _construct_result(args, split, "bipartite", {"n": args.n}, "strict", None)
-    if kind == "star":
-        split = cons.build_star_free_split(args.n, args.t)
-        return _construct_result(
-            args, split, "star", {"n": args.n, "t": args.t}, "strict", f"S{args.t}")
-    if kind == "from-coloring":
-        coloring = cons.read_coloring(args.input)
-        split = cons.build_split_from_coloring(coloring)
-        return _construct_result(
-            args, split, "from-coloring", {"input": args.input}, "strict", None)
-    raise UsageError(f"unknown construction {kind!r}")
 
 
 def _cmd_random_split(args) -> tuple[int, dict]:
@@ -127,9 +120,7 @@ def _cmd_random_split(args) -> tuple[int, dict]:
     if isinstance(result, prob.FailureStats):
         out.update(accepted=False, failure_stats=result, passed=False)
         return 1, out
-    report = verify_split(result, "strict")
-    fr = _forbidden_result(result.graph, args.forbidden)
-    passed = report.passed and (fr is None or fr["free"])
+    report, fr, passed = _checked(result, "strict", args.forbidden)
     if args.output:
         write_split(result, args.output)
     out.update(
@@ -144,10 +135,7 @@ def _cmd_random_split(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    split = read_split(args.input)
-    report = verify_split(split, args.mode)
-    fr = _forbidden_result(split.graph, args.forbidden)
-    passed = report.passed and (fr is None or fr["free"])
+    report, fr, passed = _checked(read_split(args.input), args.mode, args.forbidden)
     out = {
         "subcommand": "verify",
         "seed": args.seed,
@@ -272,23 +260,12 @@ def build_parser() -> _Parser:
     c = sub.add_parser("construct", help="deterministic split constructions")
     csub = c.add_subparsers(dest="construction", required=True)
 
-    p = csub.add_parser("affine")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--max-p", type=int, default=None)
-
-    p = csub.add_parser("c4pipeline")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-p", type=int, default=None)
-
-    p = csub.add_parser("bipartite")
-    p.add_argument("--n", type=int, required=True)
-
-    p = csub.add_parser("star")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-
-    p = csub.add_parser("from-coloring")
-    p.add_argument("--input", required=True)
+    for kind, (flags, *_) in _CONSTRUCTIONS.items():
+        p = csub.add_parser(kind)
+        for flag, type_ in flags.items():
+            p.add_argument(f"--{flag}", type=type_, required=True)
+        if kind in _MAX_P:
+            p.add_argument("--max-p", type=int, default=None)
 
     for p in csub.choices.values():
         p.add_argument("--no-verify", action="store_true")
@@ -368,10 +345,7 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         code, result = _HANDLERS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse -h/--help

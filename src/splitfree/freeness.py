@@ -5,6 +5,11 @@ small patterns).  `is_c4_free` and `is_kst_free` are the fast family
 checkers; their verdicts agree with the oracle, which the test suite asserts
 on a seeded random corpus.  All containment is plain subgraph containment,
 never induced.
+
+`check_forbidden` picks the checker from the pattern's shape alone: a
+complete bipartite pattern (C4, K<s>,<t>, S<t>; its `sides` are set) goes to
+`is_c4_free` for K2,2 and to `is_kst_free` otherwise, and every other
+pattern (other cycles, paths, `file:` graphs) goes to the oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ WEDGE_BLOCK = 1 << 16     # wedges sorted at once by the common-neighbor scan
 @dataclass(frozen=True)
 class ForbiddenGraph:
     kind: str          # cycle | biclique | star | path | explicit
-    params: tuple
+    sides: tuple | None  # pattern vertex ids of a complete bipartite pattern's sides, else None
     graph: Graph
     spec: str
 
@@ -61,27 +66,27 @@ def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
         if k < 3:
             raise ParameterError(f"cycle length must be >= 3, got {k}")
         _sized(spec, k, k)
-        return ForbiddenGraph("cycle", (k,), _cycle(k), spec)
+        return ForbiddenGraph("cycle", ((0, 2), (1, 3)) if k == 4 else None, _cycle(k), spec)
     if m := re.fullmatch(r"K(\d+),(\d+)", spec):
         s, t = int(m.group(1)), int(m.group(2))
         if not 1 <= s <= t:
             raise ParameterError(f"biclique needs 1 <= s <= t, got ({s}, {t})")
         _sized(spec, s + t, s * t)
-        return ForbiddenGraph("biclique", (s, t), _biclique(s, t), spec)
+        return ForbiddenGraph("biclique", (range(s), range(s, s + t)), _biclique(s, t), spec)
     if m := re.fullmatch(r"S(\d+)", spec):
         t = int(m.group(1))
         if t < 1:
             raise ParameterError(f"star needs t >= 1, got {t}")
         _sized(spec, t + 1, t)
-        return ForbiddenGraph("star", (t,), _biclique(1, t), spec)
+        return ForbiddenGraph("star", (range(1), range(1, t + 1)), _biclique(1, t), spec)
     if m := re.fullmatch(r"P(\d+)", spec):
         k = int(m.group(1))
         if k < 2:
             raise ParameterError(f"path needs >= 2 vertices, got {k}")
         _sized(spec, k, k - 1)
-        return ForbiddenGraph("path", (k,), _path(k), spec)
+        return ForbiddenGraph("path", None, _path(k), spec)
     if m := re.fullmatch(r"file:(.+)", spec):
-        return ForbiddenGraph("explicit", (), read_graph(m.group(1)), spec)
+        return ForbiddenGraph("explicit", None, read_graph(m.group(1)), spec)
     raise GrammarError(f"unrecognized forbidden-graph spec {spec!r}")
 
 
@@ -280,29 +285,16 @@ def is_kst_free(g: Graph, s: int, t: int) -> BicliqueWitness | None:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-def _biclique_mapping(s: int, w: BicliqueWitness) -> dict[int, int]:
-    mapping = {i: gv for i, gv in enumerate(w.left)}
-    mapping.update({s + j: gv for j, gv in enumerate(w.right)})
-    return mapping
-
-
 def check_forbidden(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
-    """Embedding of h in g (None if g is h-free), using the fastest applicable
-    checker; every witness is re-verified before being returned."""
-    mapping = None
-    if h.kind == "cycle" and h.params[0] == 4:
-        w = is_c4_free(g)
-        if w is not None:
-            (u, v), (w1, w2) = w.left, w.right
-            mapping = {0: u, 1: w1, 2: v, 3: w2}
-    elif h.kind in ("biclique", "star"):
-        s, t = h.params if h.kind == "biclique" else (1, h.params[0])
-        w = is_kst_free(g, s, t)
-        if w is not None:
-            mapping = _biclique_mapping(s, w)
-    else:
+    """Embedding of h in g (None if g is h-free): the biclique checker for a
+    complete bipartite h, the oracle otherwise; every witness is re-verified
+    before being returned."""
+    if h.sides is None:
         return contains_subgraph(g, h)
-    return None if mapping is None else _verified(g, h, mapping)
+    left, right = h.sides
+    s, t = len(left), len(right)
+    w = is_c4_free(g) if (s, t) == (2, 2) else is_kst_free(g, s, t)
+    return None if w is None else _verified(g, h, dict(zip([*left, *right], w.left + w.right)))
 
 
 def witness_json(mapping: dict[int, int] | None) -> dict:
