@@ -34,7 +34,7 @@ class PrimeSearch(NamedTuple):
 
 
 def next_prime(k: int) -> PrimeSearch:
-    """Smallest prime >= k, found by upward trial-division testing."""
+    """Smallest prime >= k, found by testing upward."""
     if k < 2:
         raise ParameterError(f"next_prime needs k >= 2, got {k}")
     p = k
@@ -117,15 +117,14 @@ def build_affine_split(p: int, max_p: int | None = None) -> SplitGraph:
 
 
 def _ceil_root(value: int, exponent: int) -> int:
-    """Smallest r >= 0 with r**exponent >= value, computed exactly."""
+    """Smallest r >= 0 with r**exponent >= value, by integer Newton steps
+    down from 2**ceil(bits/exponent) to the floor root."""
     if value <= 0:
         return 0
-    r = max(1, round(value ** (1.0 / exponent)))
-    while r ** exponent >= value:
-        r -= 1
-    while r ** exponent < value:
-        r += 1
-    return r
+    r = 1 << -(-value.bit_length() // exponent)
+    while (s := ((exponent - 1) * r + value // r ** (exponent - 1)) // exponent) < r:
+        r = s
+    return r if r ** exponent >= value else r + 1
 
 
 def pipeline_parameters(n: int) -> tuple[int, int, int]:

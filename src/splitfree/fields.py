@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CompositeCharacteristic, ElementOutOfField, InvariantViolation
+from .errors import CompositeCharacteristic, ElementOutOfField, InvariantViolation, SizeGuard
 
 
 class FieldElement(NamedTuple):
@@ -19,19 +19,36 @@ class FieldElement(NamedTuple):
     c1: int = 0
 
 
+# Miller-Rabin with the first 13 primes as witnesses is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017, "Strong pseudoprimes to twelve prime bases")
+MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; fine for the sizes used here."""
+    """Deterministic Miller-Rabin test.  A composite verdict is certain at any
+    size; a number at or above MR_EXACT_BELOW that passes every witness
+    raises SizeGuard, since no witness set here decides it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in MR_WITNESSES:
+        if n % a == 0:
+            return n == a
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
+    if n >= MR_EXACT_BELOW:
+        raise SizeGuard(f"{n} passes every Miller-Rabin witness, but they decide "
+                        f"primality only below {MR_EXACT_BELOW}")
     return True
 
 

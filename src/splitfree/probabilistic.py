@@ -26,6 +26,7 @@ from .graphs import Graph, SplitGraph, prune_to_split
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
 MC_EDGE_CHUNK = 1 << 10  # edges OR-reduced at a time; memory only, not the result
 MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's colors, counted at 8 B each
+MAX_TRIM_PARTS = 1 << 20  # guard on the q - 1 parts that trim's case 1 lists
 
 
 def _trial_rng(seed: int, t: int) -> np.random.Generator:
@@ -298,6 +299,8 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
         return TrimResult(case=2, q=q, graph=trimmed)
 
     # case 1: partition the rest by id into q-1 near-equal parts, longer ones first
+    if q - 1 > MAX_TRIM_PARTS:
+        raise SizeGuard(f"case 1 at q={q} lists {q - 1} parts; guard is {MAX_TRIM_PARTS}")
     rest = np.sort(by_degree[a1_size:])
     parts = [np.sort(a1).tolist()] + [p.tolist() for p in np.array_split(rest, q - 1)]
     part_of = np.empty(ell, dtype=np.int64)

@@ -295,7 +295,15 @@ GUARDED = {
     "bounds_huge_path": ["bounds", "--forbidden", "P100000000", "--n", "5"],
     "bounds_huge_biclique": ["bounds", "--forbidden", "K2,100000000000000000000", "--n", "100"],
     "star_default_check_huge_t": ["construct", "star", "--n", "10", "--t", str(10 ** 23)],
+    # primality: Miller-Rabin, and a SizeGuard past the bound where its witnesses are exact
+    "c4pipeline_n_1e60": ["construct", "c4pipeline", "--n", str(10 ** 60)],
+    "bounds_c4_n_1e80": ["bounds", "--forbidden", "C4", "--n", str(10 ** 80)],
+    # trim's case 1 lists q - 1 parts: refused above MAX_TRIM_PARTS
+    "trim_hub_huge_c_upper": ["trim", "--input", "{hub}", "--b", "1.5", "--c-upper", "1e30"],
+    "trim_hub_b_near_1": ["trim", "--input", "{hub}", "--b", "1.01"],
+    "trim_hub_huge_q": ["trim", "--input", "{hub}", "--b", "1.5", "--q", "100000000"],
 }
+HUB_HOST = "graph 1\nv 8 e 8\ne 0 1\ne 0 2\ne 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\ne 1 2\n"
 
 
 def _limit_address_space():
@@ -303,23 +311,40 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("name", sorted(GUARDED))
-def test_oversized_requests_refused_before_allocation(name, tmp_path):
-    # under a 2 GiB address-space limit and a 30 s timeout, so an allocation
-    # or a long build shows as a failure instead of swapping the machine
-    wide, host = tmp_path / "wide.g", tmp_path / "c6.g"
-    wide.write_text(WIDE_HOST)
-    write_graph(cycle_graph(6), host)
-    argv = [a.format(wide=wide, host=host) for a in GUARDED[name]]
+def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI in a child under a 2 GiB address-space limit and a 30 s timeout,
+    so an allocation or a long build shows as a failure instead of swapping
+    the machine."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "splitfree.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "splitfree.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=30,
                           preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_oversized_requests_refused_before_allocation(name, tmp_path):
+    wide, host, hub = tmp_path / "wide.g", tmp_path / "c6.g", tmp_path / "hub.g"
+    wide.write_text(WIDE_HOST)
+    hub.write_text(HUB_HOST)
+    write_graph(cycle_graph(6), host)
+    argv = [a.format(wide=wide, host=host, hub=hub) for a in GUARDED[name]]
+    proc = _run_limited(argv)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] in ("SizeGuard", "ParameterError")
+
+
+def test_huge_primes_decided_quickly():
+    # 2^61 - 1 is prime, so the affine guard refuses it; p = 10^20 + 39 prices C4 at 10^60
+    proc = _run_limited(["construct", "affine", "--p", str(2 ** 61 - 1)])
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1 and json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+    proc = _run_limited(["bounds", "--forbidden", "C4", "--n", str(10 ** 60)])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["report"]
+    assert report["f_upper"] == 2 * (10 ** 20 + 39) and report["f_upper_certified"]
 
 
 OUT_OF_RANGE = {  # file text, argv, the JSON error

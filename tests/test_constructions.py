@@ -124,6 +124,25 @@ def test_pipeline_parameters_examples():
     assert pipeline_parameters(100000) == (2155, 47, 47)
 
 
+def _bisected_ceil_root(value: int, exponent: int) -> int:
+    lo, hi = -1, max(value, 1)  # lo**e < value <= hi**e, for value >= 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if mid ** exponent >= value else (mid, hi)
+    return hi if value > 0 else 0
+
+
+def test_ceil_root_matches_bisection():
+    rng = np.random.default_rng(5)
+    values = list(range(-2, 3000)) + [int(rng.integers(1, 10 ** 18)) * 10 ** int(k) + int(j)
+                                      for k, j in rng.integers(0, 100, size=(500, 2))]
+    values += [r ** 3 + d for r in (10 ** 20, 2 ** 70) for d in (-1, 0, 1)]
+    for v in values:
+        for e in (2, 3, 5):
+            assert constructions._ceil_root(v, e) == _bisected_ceil_root(v, e), (v, e)
+    assert constructions._ceil_root(10 ** 120, 3) == 10 ** 40  # exact, and at once
+
+
 def test_pipeline_prime_cube_covers_n():
     # p >= k0, k0^2 >= N and N^3 >= n^2 give p^3 >= n, so no larger prime is ever needed
     assert all(pipeline_parameters(n)[2] ** 3 >= n for n in range(8, 29792))

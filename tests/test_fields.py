@@ -1,11 +1,11 @@
 """Field arithmetic: frozen small-case values plus exhaustive axiom checks
-for GF(p^2) at every p up to 7."""
+for GF(p^2) at every p up to 7, and the primality test against a sieve."""
 
 import numpy as np
 import pytest
 
-from splitfree.errors import CompositeCharacteristic, ElementOutOfField
-from splitfree.fields import FieldElement, make_quadratic_field
+from splitfree.errors import CompositeCharacteristic, ElementOutOfField, SizeGuard
+from splitfree.fields import MR_EXACT_BELOW, FieldElement, is_prime, make_quadratic_field
 
 PRIMES = [2, 3, 5, 7]
 
@@ -138,3 +138,28 @@ def test_field_axioms_exhaustive(f):
     assert (r1 * f.p + r0 == mul.reshape(-1)).all()
     s0, s1 = f.add_arrays(a0, a1, b0, b1)
     assert (s1 * f.p + s0 == add.reshape(-1)).all()
+
+
+def test_is_prime_matches_sieve():
+    sieve = np.ones(200_000, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 448):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    assert [n for n in range(200_000) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases; base 41 catches the last
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_above_the_exact_bound():
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))  # a composite verdict stays certain
+    assert not is_prime(10 ** 30)
+    with pytest.raises(SizeGuard):
+        is_prime(2 ** 89 - 1)  # prime, but no witness set here proves it
+    with pytest.raises(SizeGuard):
+        is_prime(MR_EXACT_BELOW)  # the least strong pseudoprime to all 13 bases

@@ -1,17 +1,24 @@
 """Second oracles from outside the package, used only here: networkx's VF2
-matcher for the subgraph checkers, and sympy's polynomial arithmetic over
-GF(p) for the field code."""
+matcher for the subgraph checkers, sympy's polynomial arithmetic over GF(p)
+for the field code, and sympy's primality test for `is_prime`."""
+
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
-from sympy import Poly, primerange, symbols
+from sympy import Poly, isprime, prevprime, primerange, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
 from conftest import random_graph
-from splitfree.fields import _smallest_irreducible_quadratic, make_quadratic_field
+from splitfree.fields import (
+    MR_EXACT_BELOW,
+    _smallest_irreducible_quadratic,
+    is_prime,
+    make_quadratic_field,
+)
 from splitfree.freeness import (
     check_forbidden,
     contains_subgraph,
@@ -91,3 +98,13 @@ def test_array_arithmetic_agrees_with_sympy(p):
         b = [ZZ(int(b1[i])), ZZ(int(b0[i]))]
         assert (m0[i], m1[i]) == _coefficients(gf_rem(gf_mul(a, b, p, ZZ), modulus, p, ZZ), p)
         assert (s0[i], s1[i]) == _coefficients(gf_add(a, b, p, ZZ), p)
+
+
+def test_is_prime_agrees_with_sympy():
+    rng = random.Random(7)
+    for _ in range(20_000):
+        n = rng.randrange(10 ** rng.randint(1, 24))
+        assert is_prime(n) == isprime(n), n
+    # just below the exact bound: the last prime, then only composites
+    top = prevprime(MR_EXACT_BELOW)
+    assert is_prime(top) and not any(is_prime(n) for n in range(top + 1, MR_EXACT_BELOW))

@@ -259,6 +259,16 @@ def test_trim_validation():
         trim_max_degree(Graph(2, np.empty((0, 2), np.int64)), B, CP)
 
 
+def test_trim_case1_part_guard(monkeypatch):
+    # q - 1 parts at the guard are listed, empty ones included; one more is refused
+    monkeypatch.setattr(probabilistic, "MAX_TRIM_PARTS", 20)
+    hub = build_graph(8, [(0, i) for i in range(1, 8)] + [(1, 2)])  # case 1 at every q
+    cert = trim_max_degree(hub, B, CP, q_override=21).certificate
+    assert cert.part_sizes == [1] * 8 + [0] * 13
+    with pytest.raises(SizeGuard, match="case 1 at q=22 lists 21 parts; guard is 20"):
+        trim_max_degree(hub, B, CP, q_override=22)
+    assert trim_max_degree(two_c10s(), B, CP, q_override=10 ** 9).case == 2  # no parts listed
+
 
 def reference_trim_partition(g: Graph, q: int) -> tuple[list[list[int]], int, int]:
     """Oracle: the list-based case-1 partition (parts, 1-based j, union edge count),
