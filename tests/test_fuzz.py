@@ -2,10 +2,10 @@
 
 Every drawn invocation must end in exit 0 with a passing JSON report, exit 1
 with a JSON `error` or `"passed": false`, or exit 2 (a usage error); no
-exception may escape `cli.run`.  Extreme numbers (0, -1, 10**30, nan, inf,
-pattern sizes past the guard) are drawn only for arguments that a guard
-checks before anything is allocated, and work counts stay small: p <= 7,
-n <= 64, samples and trials <= 2000.  The runs are derandomized, so every run
+exception may escape `cli.run`.  Extreme numbers (0, -1, 10**30, 10**60,
+10**80, 2**61 - 1, nan, inf, pattern sizes past the guard) are drawn only
+for arguments that a guard checks before anything is allocated, and work
+counts stay small: p <= 7, n <= 64, samples and trials <= 2000.  The runs are derandomized, so every run
 draws the same inputs.
 """
 
@@ -36,8 +36,9 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow])
 
 EXTREME = st.sampled_from([0, -1, 10 ** 30])
+HUGE = st.sampled_from([10 ** 60, 10 ** 80, 2 ** 61 - 1])  # --n and --p past the prime bounds
 SEED = st.integers(0, 3) | EXTREME
-SMALL_N = st.integers(-1, 64) | EXTREME
+SMALL_N = st.integers(-1, 64) | EXTREME | HUGE
 HOST_N = st.integers(2, 6) | st.sampled_from([-1, 0, 1, 10 ** 30])  # counts for the hosts below
 COUNT = st.integers(-1, 60) | st.just(2000)  # --samples, --trials
 # pattern numbers: small, or past the pattern guard (refused before building)
@@ -101,7 +102,7 @@ HOST = st.sampled_from(["{sg}", "{lax}", "{g}", "{hub}"] * 3 + ["{ec}", "{missin
 SPLIT = st.sampled_from(["{sg}", "{lax}"] * 3 + ["{g}", "{missing}"])
 OUTPUT = st.sampled_from(["{out}.sg", "{out}.g"] * 3 + ["{dir}"])
 CONSTRUCT = {
-    "affine": ({"--p": st.sampled_from([2, 3, 5, 7] * 2 + [-1, 0, 4, 9, 10 ** 30])},
+    "affine": ({"--p": st.sampled_from([2, 3, 5, 7] * 2 + [-1, 0, 4, 9, 10 ** 30]) | HUGE},
                {"--max-p": st.integers(-1, 7)}),
     "c4pipeline": ({"--n": SMALL_N}, {"--max-p": st.integers(-1, 7)}),
     "bipartite": ({"--n": SMALL_N}, {}),
@@ -117,17 +118,15 @@ SUBCOMMANDS = {
         "--seed": SEED}),
     "prune": command(["prune"], {"--input": SPLIT}, {"-o": OUTPUT}),
     "restrict": command(["restrict"], {"--input": SPLIT, "--n": HOST_N}, {"-o": OUTPUT}),
-    # a huge finite --c-upper or a --b just above 1 gives a huge q, and case 1
-    # then lists q parts: neither is guarded, so both stay out of the draw
     "trim": command(["trim"], {
         "--input": HOST,
-        "--b": st.sampled_from([1.5, 1.9, 1.0000001, 1.0, 2.0, 0.0, -1.0,
-                                float("nan"), float("inf")]),
+        "--b": st.sampled_from([1.5, 1.01] * 3 + [1.9, 1.0000001, 1.0, 2.0, 0.0, -1.0,
+                                              float("nan"), float("inf")]),
     }, {
-        "--c-upper": st.sampled_from([1.0, 0.5, 2.0, 1e-300, 0.0, -1.0,
-                                      float("nan"), float("inf"), 1e308]),
+        "--c-upper": st.sampled_from([1.0, 1e30] * 2 + [0.5, 2.0, 1e-300, 0.0, -1.0,
+                                                        float("nan"), float("inf"), 1e308]),
         "--ex": st.integers(16, 200) | st.sampled_from([0, -1, 10 ** 30, 10 ** 400]),
-        "--q": st.integers(-1, 12), "-o": OUTPUT}),
+        "--q": st.integers(-1, 12) | st.sampled_from([2 ** 20 + 2, 10 ** 8]), "-o": OUTPUT}),
     "diagnose": command(["diagnose"], {"--input": HOST, "--n": HOST_N}, {}),
     "estimate": command(["estimate"], {"--input": HOST, "--n": HOST_N},
                         {"--samples": COUNT, "--seed": SEED}),
