@@ -80,7 +80,7 @@ _MAX_P = ("affine", "c4pipeline")  # the constructions that take --max-p
 def _cmd_construct(args) -> tuple[int, dict]:
     flags, build, mode, default = _CONSTRUCTIONS[args.construction]
     params = {flag: getattr(args, flag) for flag in flags}
-    split = build(*params.values(), *([args.max_p] if "max_p" in args else []))
+    split = build(*params.values(), *([args.max_p] if args.construction in _MAX_P else []))
     out = {
         "subcommand": f"construct {args.construction}",
         "seed": args.seed,

@@ -294,7 +294,7 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
         e = g.edges
         kept = e[~(in_a1[e[:, 0]] | in_a1[e[:, 1]])]
         trimmed = Graph(ell, kept)
-        if not (trimmed.M > m / 2 and trimmed.degrees().max() <= q * m / ell):
+        if not (trimmed.M > m / 2 and int(trimmed.degrees().max()) * ell <= q * m):
             raise InvariantViolation(f"case-2 trim at q={q} broke its edge or degree bound")
         return TrimResult(case=2, q=q, graph=trimmed)
 

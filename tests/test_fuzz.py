@@ -5,8 +5,8 @@ with a JSON `error` or `"passed": false`, or exit 2 (a usage error); no
 exception may escape `cli.run`.  Extreme numbers (0, -1, 10**30, 10**60,
 10**80, 2**61 - 1, nan, inf, pattern sizes past the guard) are drawn only
 for arguments that a guard checks before anything is allocated, and work
-counts stay small: p <= 7, n <= 64, samples and trials <= 2000.  The runs are derandomized, so every run
-draws the same inputs.
+counts stay small: p <= 7, n <= 64, samples and trials <= 2000.  The runs
+are derandomized, so every run draws the same inputs.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ SUBCOMMANDS = {
         "--c-upper": st.sampled_from([1.0, 1e30] * 2 + [0.5, 2.0, 1e-300, 0.0, -1.0,
                                                         float("nan"), float("inf"), 1e308]),
         "--ex": st.integers(16, 200) | st.sampled_from([0, -1, 10 ** 30, 10 ** 400]),
-        "--q": st.integers(-1, 12) | st.sampled_from([2 ** 20 + 2, 10 ** 8]), "-o": OUTPUT}),
+        "--q": st.integers(-1, 12) | st.sampled_from([2 ** 20 + 2, 10 ** 8, 10 ** 400]),
+        "-o": OUTPUT}),
     "diagnose": command(["diagnose"], {"--input": HOST, "--n": HOST_N}, {}),
     "estimate": command(["estimate"], {"--input": HOST, "--n": HOST_N},
                         {"--samples": COUNT, "--seed": SEED}),

@@ -268,6 +268,8 @@ def test_trim_case1_part_guard(monkeypatch):
     with pytest.raises(SizeGuard, match="case 1 at q=22 lists 21 parts; guard is 20"):
         trim_max_degree(hub, B, CP, q_override=22)
     assert trim_max_degree(two_c10s(), B, CP, q_override=10 ** 9).case == 2  # no parts listed
+    # case 2's degree bound q*m/l is checked in integers: this q is past any float
+    assert trim_max_degree(two_c10s(), B, CP, q_override=10 ** 400).case == 2
 
 
 def reference_trim_partition(g: Graph, q: int) -> tuple[list[list[int]], int, int]:
