@@ -13,8 +13,10 @@ was before its reports lost their hand-written `to_dict` methods; since then
 only `bounds --forbidden K3,3 --n 5` changed on purpose, from an error to the
 trivial report that every pattern gets when n < |V(H)|.  The found-witness
 runs at the end were appended later, recorded from the program as it was
-before the forbidden-pattern dispatch was rewritten.  Record them again only
-for an intended output change:
+before the forbidden-pattern dispatch was rewritten, and the three
+construction-table runs after them from the program as it was before the
+construction table moved out of the CLI.  Record them again only for an
+intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -90,6 +92,11 @@ CASES = [
     "verify --input bip6.sg --forbidden S3",
     "verify --input bip6.sg --forbidden C5",
     "random-split --input bip6.sg --n 5 --k-cap 3 --trials 500 --seed 0 --forbidden C4 -o rs5.sg",
+    # construction-table paths: a certificate that is not the pattern asked for,
+    # an unverified build, and an overridden default pattern
+    "bounds --forbidden K2,3 --n 30 --certify",
+    "construct affine --p 2 --no-verify",
+    "construct star --n 7 --t 3 --forbidden C4",
 ]
 
 
