@@ -20,32 +20,31 @@ import time
 from pathlib import Path
 
 from splitfree.bounds import split_bounds
-from splitfree.constructions import (
-    build_affine_split,
-    build_bipartite_split,
-    build_star_free_split,
-    construct_c4_free_split,
-)
-from splitfree.freeness import check_forbidden, parse_forbidden_spec
-from splitfree.graphs import verify_split, write_split
+from splitfree.constructions import CONSTRUCTIONS, check_split
+from splitfree.freeness import parse_forbidden_spec
+from splitfree.graphs import write_split
 
 
-def entry(name, split, mode, forbidden, out_dir):
+def entry(name, kind, params, out_dir):
+    """Build one construction, write it, and check it with its own certificate."""
+    row = CONSTRUCTIONS[kind]
+    split = row.build(*params.values())
     path = out_dir / f"{name}.sg"
     write_split(split, path)
-    report = verify_split(split, mode)
+    report, fr, _ = check_split(split, row.mode, row.certificate_for(params))
     record = {
         "file": path.name,
         "n": split.n,
         "k": int(split.blob_sizes().max()),
         "vertices": split.graph.V,
         "edges": split.graph.M,
-        "mode": mode,
+        "mode": row.mode,
         "verified": report.passed,
+        "forbidden": fr["spec"],
+        "free": fr["free"],
     }
-    if forbidden:
-        record["forbidden"] = forbidden
-        record["free"] = check_forbidden(split.graph, parse_forbidden_spec(forbidden)) is None
+    if kind == "c4pipeline":
+        record["bounds"] = split_bounds(parse_forbidden_spec("C4"), split.n)
     return record
 
 
@@ -60,35 +59,20 @@ def main():
     args = ap.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
+    jobs = [(f"affine_p{p}", "affine", {"p": p}) for p in args.affine]
+    jobs += [(f"pipeline_n{n}", "c4pipeline", {"n": n}) for n in args.pipeline]
+    jobs += [(f"star_n{n}_t{t}", "star", {"n": n, "t": t})
+             for n in args.star_n for t in args.star_t]
+    jobs += [(f"bipartite_n{n}", "bipartite", {"n": n}) for n in args.bipartite]
     records = []
-
-    for p in args.affine:
+    for name, kind, params in jobs:
         t0 = time.time()
-        records.append(entry(f"affine_p{p}", build_affine_split(p), "lax", "C4", args.out))
-        print(f"affine p={p}: {records[-1]} ({time.time() - t0:.2f}s)")
-
-    for n in args.pipeline:
-        t0 = time.time()
-        rec = entry(f"pipeline_n{n}", construct_c4_free_split(n), "strict", "C4", args.out)
-        rec["bounds"] = split_bounds(parse_forbidden_spec("C4"), n)
-        records.append(rec)
-        print(f"pipeline n={n}: k={rec['k']} ({time.time() - t0:.2f}s)")
-
-    for n in args.star_n:
-        for t in args.star_t:
-            rec = entry(f"star_n{n}_t{t}", build_star_free_split(n, t),
-                        "strict", f"S{t}", args.out)
-            records.append(rec)
-            print(f"star n={n} t={t}: k={rec['k']}")
-
-    for n in args.bipartite:
-        records.append(entry(f"bipartite_n{n}", build_bipartite_split(n),
-                             "strict", "C3", args.out))
-        print(f"bipartite n={n}")
+        records.append(entry(name, kind, params, args.out))
+        print(f"{name}: k={records[-1]['k']} ({time.time() - t0:.2f}s)")
 
     summary = args.out / "catalog.json"
     summary.write_text(json.dumps(records, indent=2, default=vars) + "\n")
-    bad = [r for r in records if not r["verified"] or not r.get("free", True)]
+    bad = [r for r in records if not (r["verified"] and r["free"])]
     print(f"\n{len(records)} splits written to {args.out}/; summary in {summary}")
     if bad:
         raise SystemExit(f"verification failed for: {[r['file'] for r in bad]}")

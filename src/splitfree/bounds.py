@@ -13,23 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
-from .constructions import (
-    build_bipartite_split,
-    build_star_free_split,
-    construct_c4_free_split,
-    pipeline_parameters,
-    star_blob_size,
-)
+from .constructions import CONSTRUCTIONS, check_split, pipeline_parameters, star_blob_size
 from .errors import InvariantViolation, ParameterError, UnsupportedFamily
-from .freeness import ForbiddenGraph, check_forbidden
-from .graphs import connected_components, two_coloring, verify_split
-
-
-def _is_tree(h: ForbiddenGraph) -> bool:
-    g = h.graph
-    return g.M == g.V - 1 and int(connected_components(g).max()) == 0
+from .freeness import ForbiddenGraph
+from .graphs import two_coloring
 
 
 def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
@@ -52,7 +40,7 @@ def turan_bound(h: ForbiddenGraph, ell: int) -> tuple[int, int]:
     if s == 1:
         exact = ell * (t - 1) // 2
         return exact, exact
-    if h.kind == "path" or (h.kind == "explicit" and _is_tree(h)):
+    if h.is_tree:
         t = h.graph.M
         cliques, rest = divmod(ell, t)
         low = cliques * (t * (t - 1) // 2) + rest * (rest - 1) // 2
@@ -96,10 +84,14 @@ _STRICTNESS_NOTE = ("lower bound follows the convention f >= k when "
                     "already justify f >= k+1")
 
 
-def _certify(split, free: bool, report: BoundReport) -> None:
-    """Fill achieved_k, unless the split is not strict, not free, or below f_lower."""
+def _certify(kind: str, params: dict, report: BoundReport) -> None:
+    """Build the construction and fill achieved_k, unless the split fails its
+    row's check or has blobs below f_lower."""
+    row = CONSTRUCTIONS[kind]
+    split = row.build(*params.values())
     achieved = int(split.blob_sizes().max())
-    if not (verify_split(split, "strict").passed and free and achieved >= report.f_lower):
+    if not (check_split(split, row.mode, row.certificate_for(params))[2]
+            and achieved >= report.f_lower):
         raise InvariantViolation(
             f"{report.forbidden}: the n={report.n} construction failed its certificate")
     report.achieved_k = achieved
@@ -118,13 +110,13 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
             f_upper_certified=True, achieved_k=1)
 
     bipartite = two_coloring(h.graph) is not None
-    builder = None  # builds the upper-bound construction for --certify
+    construction = None  # (kind, params) of the upper-bound construction, for --certify
     if not bipartite:
         # the split's own 2-coloring certifies it: no non-bipartite graph fits
         f_lower, lower_prov, notes = 2, f"the 1-split is K_{n}, which contains {h.spec}", []
         f_upper, certified, upper_prov = 2, True, (
             "red/blue 2-split: the output is bipartite and contains no non-bipartite graph")
-        builder = partial(build_bipartite_split, n)
+        construction = "bipartite", {"n": n}
     else:
         # necessary_k_lower raises unless h is a K_{2,t}, a star or a tree
         f_lower, notes = necessary_k_lower(h, n), [_STRICTNESS_NOTE]
@@ -146,12 +138,12 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
                 p = pipeline_parameters(n)[2]
                 f_upper, certified = 2 * p, True
                 upper_prov = f"affine-plane pipeline: prime p={p}, blob size 2p"
-                builder = partial(construct_c4_free_split, n)
+                construction = "c4pipeline", {"n": n}
         elif s == 1:
             f_upper, certified = star_blob_size(n, t), True
             upper_prov = (f"round-robin rounds grouped {f_upper} ways, "
                           f"each group at most {t - 1} matchings")
-            builder = partial(build_star_free_split, n, t)
+            construction = "star", {"n": n, "t": t}
         else:
             f_upper, certified = 2 * (n - 1) / (h.graph.M - 1), False
             upper_prov = ("tree Ramsey-coloring bound 2(n-1)/(t-1); no construction "
@@ -161,11 +153,8 @@ def split_bounds(h: ForbiddenGraph, n: int, certify: bool = False) -> BoundRepor
         forbidden=h.spec, n=n, f_lower=f_lower, f_lower_provenance=lower_prov,
         f_upper=f_upper, f_upper_provenance=upper_prov,
         f_upper_certified=certified, notes=notes)
-    if certify and builder is not None:
-        split = builder()
-        free = (check_forbidden(split.graph, h) is None if bipartite
-                else two_coloring(split.graph) is not None)
-        _certify(split, free, report)
+    if certify and construction is not None:
+        _certify(*construction, report)
     return report
 
 

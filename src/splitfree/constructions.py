@@ -8,6 +8,10 @@
 * splits assembled from an edge coloring of K_n (one vertex copy per color);
 * star-free splits from equitably grouped round-robin rounds.
 
+`CONSTRUCTIONS` pairs each construction with the check that certifies it,
+and `check_split` runs that check; the CLI, `bounds --certify` and the
+catalog script all build and check through them.
+
 Everything here is deterministic: identical inputs give byte-identical
 serialized outputs.
 """
@@ -16,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import formats
 from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard, TooLarge
 from .fields import Field, is_prime, make_quadratic_field
-from .graphs import Graph, SplitGraph, prune_to_split, restrict_blobs
+from .freeness import check_forbidden, parse_forbidden_spec, witness_json
+from .graphs import Graph, SplitGraph, prune_to_split, restrict_blobs, two_coloring, verify_split
 
 MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 edges
 MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
@@ -218,8 +223,8 @@ def round_robin_coloring(n: int) -> EdgeColoring:
     n (circle method, one vertex fixed), n near-perfect matchings for odd n."""
     if n < 2:
         raise ParameterError(f"round robin needs n >= 2, got {n}")
-    m = n if n % 2 == 0 else n + 1  # odd n: schedule with a dummy, drop its pairs
-    rounds = m - 1
+    m = n + n % 2  # odd n: schedule with a dummy, drop its pairs
+    rounds = round_robin_rounds(n)
     color_of: dict[tuple[int, int], int] = {}
     for r in range(rounds):
         pairs = [(m - 1, r)]
@@ -230,11 +235,15 @@ def round_robin_coloring(n: int) -> EdgeColoring:
     return EdgeColoring(n, rounds, color_of)
 
 
+def round_robin_rounds(n: int) -> int:
+    """Rounds of the round-robin schedule of K_n: n-1 for even n, n for odd n."""
+    return n - 1 + n % 2
+
+
 def star_blob_size(n: int, t: int) -> int:
     """k = ceil(R/(t-1)) for the R round-robin rounds of K_n taken at most
     t-1 to a group."""
-    rounds = n - 1 if n % 2 == 0 else n
-    return -(-rounds // (t - 1))
+    return -(-round_robin_rounds(n) // (t - 1))
 
 
 def build_star_free_split(n: int, t: int) -> SplitGraph:
@@ -262,3 +271,46 @@ def write_coloring(c: EdgeColoring, path) -> None:
 def read_coloring(path) -> EdgeColoring:
     (n, k), (colors,) = formats.read(path, "coloring")
     return EdgeColoring(n, k, dict(zip(combinations(range(n), 2), colors)))
+
+
+# ---------------------------------------------------------------------------
+# The construction table: each construction with the check that certifies it
+# ---------------------------------------------------------------------------
+
+# the bipartite split's certificate: its own 2-coloring rules out every non-bipartite graph
+TWO_COLORED = object()
+
+
+class Construction(NamedTuple):
+    params: dict           # parameter name -> type, in the builder's argument order
+    build: Callable[..., SplitGraph]
+    mode: str              # verify_split mode
+    certificate: object    # pattern spec formatted with the parameters, TWO_COLORED, or None
+    max_p: bool = False    # the builder also takes the affine guard max_p
+
+    def certificate_for(self, params: dict):
+        return self.certificate.format_map(params) if isinstance(self.certificate, str) \
+            else self.certificate
+
+
+CONSTRUCTIONS = {
+    "affine": Construction({"p": int}, build_affine_split, "lax", "C4", max_p=True),
+    "c4pipeline": Construction({"n": int}, construct_c4_free_split, "strict", "C4", max_p=True),
+    "bipartite": Construction({"n": int}, build_bipartite_split, "strict", TWO_COLORED),
+    "star": Construction({"n": int, "t": int}, build_star_free_split, "strict", "S{t}"),
+    "from-coloring": Construction({"input": str}, lambda path: build_split_from_coloring(
+        read_coloring(path)), "strict", None),
+}
+
+
+def check_split(split: SplitGraph, mode: str, spec) -> tuple:
+    """(verification report, forbidden-pattern result or None, whether both
+    passed) for a pattern spec, TWO_COLORED, or None (no pattern check)."""
+    report, fr = verify_split(split, mode), None
+    if spec is TWO_COLORED:
+        fr = {"spec": "any non-bipartite graph",
+              "free": two_coloring(split.graph) is not None, "witness": None}
+    elif spec is not None:
+        mapping = check_forbidden(split.graph, parse_forbidden_spec(spec))
+        fr = {"spec": spec, "free": mapping is None, "witness": witness_json(mapping)}
+    return report, fr, report.passed and (fr is None or fr["free"])

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (GrammarError, InstanceTooLarge, InvariantViolation, ParameterError,
                      PatternTooLarge, SizeGuard)
 from .formats import MAX_FILE_VERTICES
-from .graphs import Graph, read_graph
+from .graphs import Graph, connected_components, read_graph
 
 ORACLE_PATTERN_CAP = 12   # contains_subgraph is for desk-scale cross-checks
 KST_ENUM_CAP = 1 << 12    # host-size cap for the exhaustive s >= 3 search
@@ -31,10 +32,15 @@ WEDGE_BLOCK = 1 << 16     # wedges sorted at once by the common-neighbor scan
 
 @dataclass(frozen=True)
 class ForbiddenGraph:
-    kind: str          # cycle | biclique | star | path | explicit
     sides: tuple | None  # pattern vertex ids of a complete bipartite pattern's sides, else None
     graph: Graph
     spec: str
+
+    @cached_property
+    def is_tree(self) -> bool:
+        """Connected with V - 1 edges; the search runs once per pattern."""
+        g = self.graph
+        return g.M == g.V - 1 and int(connected_components(g).max()) == 0
 
 
 def _sized(spec: str, vcount: int, ecount: int) -> None:
@@ -66,27 +72,27 @@ def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
         if k < 3:
             raise ParameterError(f"cycle length must be >= 3, got {k}")
         _sized(spec, k, k)
-        return ForbiddenGraph("cycle", ((0, 2), (1, 3)) if k == 4 else None, _cycle(k), spec)
+        return ForbiddenGraph(((0, 2), (1, 3)) if k == 4 else None, _cycle(k), spec)
     if m := re.fullmatch(r"K(\d+),(\d+)", spec):
         s, t = int(m.group(1)), int(m.group(2))
         if not 1 <= s <= t:
             raise ParameterError(f"biclique needs 1 <= s <= t, got ({s}, {t})")
         _sized(spec, s + t, s * t)
-        return ForbiddenGraph("biclique", (range(s), range(s, s + t)), _biclique(s, t), spec)
+        return ForbiddenGraph((range(s), range(s, s + t)), _biclique(s, t), spec)
     if m := re.fullmatch(r"S(\d+)", spec):
         t = int(m.group(1))
         if t < 1:
             raise ParameterError(f"star needs t >= 1, got {t}")
         _sized(spec, t + 1, t)
-        return ForbiddenGraph("star", (range(1), range(1, t + 1)), _biclique(1, t), spec)
+        return ForbiddenGraph((range(1), range(1, t + 1)), _biclique(1, t), spec)
     if m := re.fullmatch(r"P(\d+)", spec):
         k = int(m.group(1))
         if k < 2:
             raise ParameterError(f"path needs >= 2 vertices, got {k}")
         _sized(spec, k, k - 1)
-        return ForbiddenGraph("path", None, _path(k), spec)
+        return ForbiddenGraph(None, _path(k), spec)
     if m := re.fullmatch(r"file:(.+)", spec):
-        return ForbiddenGraph("explicit", None, read_graph(m.group(1)), spec)
+        return ForbiddenGraph(None, read_graph(m.group(1)), spec)
     raise GrammarError(f"unrecognized forbidden-graph spec {spec!r}")
 
 

@@ -20,8 +20,11 @@ from .errors import (
     LoopEdge,
     NotALaxSplit,
     ParameterError,
+    SizeGuard,
     TargetTooLarge,
 )
+
+MAX_MISSING_PAIRS = 1 << 20  # verify_split lists at most this many missing blob pairs
 
 
 class Graph:
@@ -185,31 +188,29 @@ def _cross_pair_keys(s: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
     return i * s.n + j, cross
 
 
-def _missing_pairs(present_sorted: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """All blob pairs absent from the sorted key array (row-chunked scan)."""
-    missing = []
-    for i in range(n - 1):
-        lo = np.searchsorted(present_sorted, i * n)
-        hi = np.searchsorted(present_sorted, (i + 1) * n)
+def _missing_pairs(present_sorted: np.ndarray, n: int):
+    """Blob pairs absent from the sorted key array, in order; rows that hold
+    all their pairs are counted, not scanned."""
+    starts = np.searchsorted(present_sorted, np.arange(n + 1, dtype=np.int64) * n)
+    for i in np.flatnonzero(np.diff(starts) < n - 1 - np.arange(n)).tolist():
         expected = np.arange(i * n + i + 1, (i + 1) * n, dtype=np.int64)
-        for key in np.setdiff1d(expected, present_sorted[lo:hi]).tolist():
-            missing.append((i, key - i * n))
-    return missing
+        for key in np.setdiff1d(expected, present_sorted[starts[i]:starts[i + 1]]).tolist():
+            yield i, key - i * n
 
 
 def verify_split(s: SplitGraph, mode: str = "strict") -> VerificationReport:
     """Check the split against the lax or strict contract; failures are
-    reported, never raised."""
+    reported, never raised.  A split missing more than MAX_MISSING_PAIRS
+    blob pairs is refused with SizeGuard before any pair is listed."""
     if mode not in ("strict", "lax"):
         raise ParameterError(f"mode must be 'strict' or 'lax', got {mode!r}")
     keys, _ = _cross_pair_keys(s)
     internal = s.graph.M - len(keys)
     present, counts = np.unique(keys, return_counts=True)
-    total_pairs = s.n * (s.n - 1) // 2
-    if len(present) == total_pairs:
-        missing = []
-    else:
-        missing = _missing_pairs(present, s.n)
+    absent = s.n * (s.n - 1) // 2 - len(present)
+    if absent > MAX_MISSING_PAIRS:
+        raise SizeGuard(f"{absent} blob pairs have no edge; guard is {MAX_MISSING_PAIRS}")
+    missing = list(_missing_pairs(present, s.n)) if absent else []
     multi = int((counts >= 2).sum())
     passed = not missing and (mode == "lax" or (multi == 0 and internal == 0))
     return VerificationReport(
@@ -240,7 +241,7 @@ def prune_to_split(s: SplitGraph) -> SplitGraph:
     first[1:] = keys[1:] != keys[:-1]
     total_pairs = s.n * (s.n - 1) // 2
     if int(first.sum()) != total_pairs:
-        pair = _missing_pairs(keys[first], s.n)[0]
+        pair = next(_missing_pairs(keys[first], s.n))
         raise NotALaxSplit(f"blob pair {pair} has no crossing edge")
     return SplitGraph(Graph(s.graph.V, ec[first]), s.blob_of, s.n, s.k)
 

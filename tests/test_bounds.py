@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitfree import bounds, freeness
+from splitfree import bounds, constructions, freeness
 from splitfree.bounds import (
     necessary_k_lower,
     ramsey_bounds,
@@ -224,17 +224,19 @@ def test_non_bipartite_certify_never_calls_the_oracle(monkeypatch):
 
 def test_certify_refuses_each_failed_condition(monkeypatch):
     """The certificate fails when the split is not strict, contains the pattern, or
-    has blobs smaller than the lower bound allows."""
+    has blobs smaller than the lower bound allows.  Each check is broken in the
+    module that owns it."""
     failed = type("Report", (), {"passed": False})()
-    two_coloring = bounds.two_coloring
-    breaks = [("S3", "verify_split", lambda split, mode: failed),
-              ("S3", "check_forbidden", lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}),
-              ("S3", "necessary_k_lower", lambda h, n: 99),
+    two_coloring = constructions.two_coloring
+    breaks = [("S3", constructions, "verify_split", lambda split, mode: failed),
+              ("S3", constructions, "check_forbidden", lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}),
+              ("S3", bounds, "necessary_k_lower", lambda h, n: 99),
               # C5 keeps its odd cycle; only the built split loses its 2-coloring
-              ("C5", "two_coloring", lambda g: two_coloring(g) if g.V == 5 else None)]
-    for spec, name, broken in breaks:
+              ("C5", constructions, "two_coloring",
+               lambda g: two_coloring(g) if g.V == 5 else None)]
+    for spec, module, name, broken in breaks:
         with monkeypatch.context() as m:
-            m.setattr(bounds, name, broken)
+            m.setattr(module, name, broken)
             with pytest.raises(InvariantViolation):
                 split_bounds(parse_forbidden_spec(spec), 9, certify=True)
 
@@ -243,11 +245,11 @@ def test_certify_checks_survive_optimized_mode():
     """Under python -O a checker that finds a star in the built split must still
     stop the certificate."""
     program = (
-        "from splitfree import bounds\n"
+        "from splitfree import bounds, constructions\n"
         "from splitfree.errors import InvariantViolation\n"
         "from splitfree.freeness import parse_forbidden_spec\n"
         "assert False, 'asserts are live'\n"
-        "bounds.check_forbidden = lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}\n"
+        "constructions.check_forbidden = lambda g, h: {0: 0, 1: 1, 2: 2, 3: 3}\n"
         "try:\n"
         "    bounds.split_bounds(parse_forbidden_spec('S3'), 9, certify=True)\n"
         "except InvariantViolation as exc:\n"

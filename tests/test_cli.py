@@ -302,8 +302,14 @@ GUARDED = {
     "trim_hub_huge_c_upper": ["trim", "--input", "{hub}", "--b", "1.5", "--c-upper", "1e30"],
     "trim_hub_b_near_1": ["trim", "--input", "{hub}", "--b", "1.01"],
     "trim_hub_huge_q": ["trim", "--input", "{hub}", "--b", "1.5", "--q", "100000000"],
+    # 30000 edgeless one-vertex blobs: 449985000 missing pairs, counted and not listed
+    "verify_edgeless": ["verify", "--input", "{edgeless}"],
+    "prune_edgeless": ["prune", "--input", "{edgeless}"],
 }
+GUARDED_ERRORS = {"prune_edgeless": ("NotALaxSplit",)}  # prune names the first missing pair
 HUB_HOST = "graph 1\nv 8 e 8\ne 0 1\ne 0 2\ne 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\ne 1 2\n"
+EDGELESS_SPLIT = "splitgraph 1\nn 30000 k 1 v 30000 e 0\n" + "".join(
+    f"b {i} {i}\n" for i in range(30000))
 
 
 def _limit_address_space():
@@ -326,14 +332,25 @@ def _run_limited(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_oversized_requests_refused_before_allocation(name, tmp_path):
     wide, host, hub = tmp_path / "wide.g", tmp_path / "c6.g", tmp_path / "hub.g"
+    edgeless = tmp_path / "edgeless.sg"
     wide.write_text(WIDE_HOST)
     hub.write_text(HUB_HOST)
+    edgeless.write_text(EDGELESS_SPLIT)
     write_graph(cycle_graph(6), host)
-    argv = [a.format(wide=wide, host=host, hub=hub) for a in GUARDED[name]]
+    argv = [a.format(wide=wide, host=host, hub=hub, edgeless=edgeless) for a in GUARDED[name]]
     proc = _run_limited(argv)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["type"] in ("SizeGuard", "ParameterError")
+    assert json.loads(proc.stdout)["error"]["type"] in GUARDED_ERRORS.get(
+        name, ("SizeGuard", "ParameterError"))
+
+
+def test_memory_error_is_a_json_error():
+    # admitted by MAX_AFFINE_P = 31, but the incidence keys alone need 4.4 GiB
+    proc = _run_limited(["construct", "affine", "--p", "29"])
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["type"] == "MemoryError"
 
 
 def test_huge_primes_decided_quickly():

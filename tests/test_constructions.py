@@ -20,6 +20,7 @@ from splitfree.constructions import (
     pipeline_parameters,
     read_coloring,
     round_robin_coloring,
+    round_robin_rounds,
     star_blob_size,
     write_coloring,
 )
@@ -264,7 +265,7 @@ def test_round_robin_examples():
 @settings(max_examples=40, deadline=None)
 def test_round_robin_is_proper(n):
     rr = round_robin_coloring(n)
-    assert rr.colors == (n - 1 if n % 2 == 0 else n)
+    assert rr.colors == round_robin_rounds(n) == (n - 1 if n % 2 == 0 else n)
     assert len(rr.color_of) == n * (n - 1) // 2
     seen = set()
     for (i, j), r in rr.color_of.items():
@@ -312,7 +313,7 @@ def test_coloring_header_guard_counts_split_vertices(tmp_path, monkeypatch):
     from splitfree.errors import ParameterError, ParseError, SizeGuard
 
     # every round robin the star guard admits (n <= 4096) fits under the file guard
-    assert 4096 * round_robin_coloring(4096).colors <= formats.MAX_FILE_VERTICES
+    assert 4096 * round_robin_rounds(4096) <= formats.MAX_FILE_VERTICES
     monkeypatch.setattr(formats, "MAX_FILE_VERTICES", 10)
     path = tmp_path / "c.ec"
     write_coloring(two_c5_coloring(), path)        # 5 * 2 = 10 vertices: at the guard

@@ -39,7 +39,7 @@ from splitfree.freeness import (
     verify_embedding,
     witness_json,
 )
-from splitfree.graphs import Graph, SplitGraph, prune_to_split, write_graph, write_split
+from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, write_graph, write_split
 
 
 def test_parse_examples():
@@ -80,7 +80,15 @@ def test_parse_file(tmp_path):
     path = tmp_path / "h.g"
     write_graph(cycle_graph(5), path)
     h = parse_forbidden_spec(f"file:{path}")
-    assert h.kind == "explicit" and h.graph == cycle_graph(5)
+    assert h.sides is None and not h.is_tree and h.graph == cycle_graph(5)
+    write_graph(build_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]), path)
+    assert parse_forbidden_spec(f"file:{path}").is_tree
+
+
+def test_is_tree_reads_the_shape():
+    shapes = {"P2": True, "P7": True, "S1": True, "S4": True, "K1,3": True,
+              "C3": False, "C4": False, "K2,3": False}
+    assert {spec: parse_forbidden_spec(spec).is_tree for spec in shapes} == shapes
 
 
 def test_parametric_patterns_connected():

@@ -18,7 +18,7 @@ from conftest import (
     cycle_graph,
     seeded_corpus,
 )
-from splitfree import formats
+from splitfree import formats, graphs
 from splitfree.errors import (
     EndpointOutOfRange,
     InvariantViolation,
@@ -131,6 +131,35 @@ def test_prune_missing_pair():
     bad = SplitGraph(build_graph(4, [(0, 1)]), np.array([0, 0, 1, 2]), 3, 2)
     with pytest.raises(NotALaxSplit):
         prune_to_split(bad)
+
+
+@given(st.integers(2, 12), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_missing_pairs_match_census(n, p, seed):
+    """On splits missing any set of blob pairs, verify lists exactly the pairs the
+    pure-Python census finds, and prune names the first of them."""
+    rng = np.random.default_rng(seed)
+    blob_of = np.concatenate((np.arange(n), rng.integers(0, n, n)))
+    iu, iv = np.triu_indices(2 * n, k=1)
+    keep = rng.random(len(iu)) < p
+    s = SplitGraph(build_graph(2 * n, np.column_stack((iu[keep], iv[keep]))), blob_of, n, 2 * n)
+    missing = brute_split_census(s)["missing"]
+    assert verify_split(s, "lax").missing_pairs == missing
+    if missing:
+        with pytest.raises(NotALaxSplit, match=re.escape(f"blob pair {missing[0]} has")):
+            prune_to_split(s)
+
+
+def test_verify_refuses_too_many_missing_pairs(monkeypatch):
+    # counted as all pairs minus the present ones, before any pair is listed
+    edgeless = SplitGraph(Graph(5, np.empty((0, 2), np.int64)), np.arange(5), 5, 1)
+    monkeypatch.setattr(graphs, "MAX_MISSING_PAIRS", 10)
+    assert len(verify_split(edgeless, "lax").missing_pairs) == 10  # at the guard
+    monkeypatch.setattr(graphs, "MAX_MISSING_PAIRS", 9)
+    with pytest.raises(SizeGuard, match="10 blob pairs have no edge; guard is 9"):
+        verify_split(edgeless, "lax")
+    with pytest.raises(NotALaxSplit, match=re.escape("blob pair (0, 1)")):
+        prune_to_split(edgeless)
 
 
 def test_restrict_examples():
