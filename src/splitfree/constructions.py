@@ -289,6 +289,7 @@ class Construction(NamedTuple):
     max_p: bool = False    # the builder also takes the affine guard max_p
 
     def certificate_for(self, params: dict):
+        """The certificate for these parameters: a spec is formatted, a marker kept."""
         return self.certificate.format_map(params) if isinstance(self.certificate, str) \
             else self.certificate
 
