@@ -28,10 +28,11 @@ from splitfree.graphs import write_split
 def entry(name, kind, params, out_dir):
     """Build one construction, write it, and check it with its own certificate."""
     row = CONSTRUCTIONS[kind]
+    certificate = row.certificate_for(params)
     split = row.build(*params.values())
     path = out_dir / f"{name}.sg"
     write_split(split, path)
-    report, fr, _ = check_split(split, row.mode, row.certificate_for(params))
+    report, fr, _ = check_split(split, row.mode, certificate)
     record = {
         "file": path.name,
         "n": split.n,

@@ -88,9 +88,10 @@ def _certify(kind: str, params: dict, report: BoundReport) -> None:
     """Build the construction and fill achieved_k, unless the split fails its
     row's check or has blobs below f_lower."""
     row = CONSTRUCTIONS[kind]
+    certificate = row.certificate_for(params)
     split = row.build(*params.values())
     achieved = int(split.blob_sizes().max())
-    if not (check_split(split, row.mode, row.certificate_for(params))[2]
+    if not (check_split(split, row.mode, certificate)[2]
             and achieved >= report.f_lower):
         raise InvariantViolation(
             f"{report.forbidden}: the n={report.n} construction failed its certificate")

@@ -45,14 +45,21 @@ def _load_host(path) -> Graph:
     return read_split(path).graph if formats.sniff(path) == "splitgraph" else read_graph(path)
 
 
+def _pattern(spec: str | None):
+    return None if spec is None else parse_forbidden_spec(spec)
+
+
 def _cmd_construct(args) -> dict:
     row = CONSTRUCTIONS[args.construction]
     params = {flag: getattr(args, flag) for flag in row.params}
+    # parsed before the build, so a bad spec leaves no file behind
+    pattern = None if args.no_verify else (
+        parse_forbidden_spec(args.forbidden) if args.forbidden else row.certificate_for(params))
     split = row.build(*params.values(), *([args.max_p] if row.max_p else []))
     if args.output:
         write_split(split, args.output)
     report, fr, passed = (None, None, True) if args.no_verify else check_split(
-        split, row.mode, args.forbidden or row.certificate_for(params))
+        split, row.mode, pattern)
     return {
         "params": params,
         "n": split.n,
@@ -76,7 +83,7 @@ def _cmd_random_split(args) -> dict:
     out = {"n": args.n, "k_cap": k_cap, "trials": args.trials}
     if isinstance(result, prob.FailureStats):
         return {**out, "accepted": False, "failure_stats": result, "passed": False}
-    report, fr, passed = check_split(result, "strict", args.forbidden)
+    report, fr, passed = check_split(result, "strict", _pattern(args.forbidden))
     if args.output:
         write_split(result, args.output)
     return {
@@ -91,7 +98,7 @@ def _cmd_random_split(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    report, fr, passed = check_split(read_split(args.input), args.mode, args.forbidden)
+    report, fr, passed = check_split(read_split(args.input), args.mode, _pattern(args.forbidden))
     return {"passed": passed, "report": report, "forbidden": fr}
 
 

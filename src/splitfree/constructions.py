@@ -28,7 +28,7 @@ from . import formats
 from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard, TooLarge
 from .fields import Field, is_prime, make_quadratic_field
 from .freeness import check_forbidden, parse_forbidden_spec, witness_json
-from .graphs import Graph, SplitGraph, prune_to_split, restrict_blobs, two_coloring, verify_split
+from .graphs import Graph, SplitGraph, prune_to_split, two_coloring, verify_split
 
 MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 edges
 MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
@@ -68,22 +68,32 @@ class AffinePlane:
     def q(self) -> int:
         return self.field.order
 
-    def incidence_graph(self) -> Graph:
-        """Bipartite point-line incidence graph on 2*q^2 vertices, q^3 edges."""
+    def incidence_graph(self, keep: np.ndarray | None = None) -> Graph:
+        """Bipartite point-line incidence graph on 2*q^2 vertices, q^3 edges.
+        With a vertex mask, only the kept vertices, numbered cumsum(keep) - 1,
+        and the incidences between them."""
         p, q = self.field.p, self.q
-        vcount = 2 * q * q
+        vcount = 2 * q * q if keep is None else int(np.count_nonzero(keep))
+        new_id = None if keep is None else np.cumsum(keep) - 1
         xi = np.tile(np.arange(q, dtype=np.int64), q)
         bi = np.repeat(np.arange(q, dtype=np.int64), q)
         x0, x1 = xi % p, xi // p
         b0, b1 = bi % p, bi // p
-        # encoded edge keys point*V + line, filled slope by slope
-        keys = np.empty(q ** 3, dtype=np.int64)
+        # encoded edge keys point*V + line, filled slope by slope; a point is
+        # on one line of each slope, so q keys per kept point suffice
+        points = q * q if keep is None else int(np.count_nonzero(keep[:q * q]))
+        keys = np.empty(q * points, dtype=np.int64)
+        filled = 0
         for mi in range(q):
             mx0, mx1 = self.field.mul_arrays(mi % p, mi // p, x0, x1)
             y0, y1 = self.field.add_arrays(mx0, mx1, b0, b1)
-            block = slice(mi * q * q, (mi + 1) * q * q)
-            keys[block] = (xi * q + (y1 * p + y0)) * vcount + (q * q + mi * q + bi)
-        return Graph.from_edge_keys(vcount, keys)
+            point, line = xi * q + (y1 * p + y0), q * q + mi * q + bi
+            if keep is not None:
+                on = keep[point] & keep[line]
+                point, line = new_id[point[on]], new_id[line[on]]
+            keys[filled:filled + len(point)] = point * vcount + line
+            filled += len(point)
+        return Graph.from_edge_keys(vcount, keys[:filled])
 
 
 def build_affine_plane(p: int, max_p: int | None = None) -> AffinePlane:
@@ -141,7 +151,8 @@ def pipeline_parameters(n: int) -> tuple[int, int, int]:
 
 
 def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
-    """Strict C4-free (n, 2p)-split: affine split -> restrict to n blobs -> prune."""
+    """Strict C4-free (n, 2p)-split: the affine split generated only on blobs
+    0..n-1 (restrict_blobs's numbering), then pruned."""
     if n < 8:
         raise ParameterError(f"pipeline needs n >= 8, got {n}")
     _, _, p = pipeline_parameters(n)  # p^3 >= n: p >= k0, k0^2 >= N and N^3 >= n^2
@@ -150,7 +161,10 @@ def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
         raise SizeGuard(
             f"pipeline for n={n} needs p={p} > {limit}; the affine graph would "
             f"have {2 * p ** 4} vertices and the strict split {n * (n - 1) // 2} edges")
-    return prune_to_split(restrict_blobs(build_affine_split(p, max_p), n))
+    blob_of = affine_blob_assignment(p)
+    keep = blob_of < n
+    graph = build_affine_plane(p, max_p).incidence_graph(keep)
+    return prune_to_split(SplitGraph(graph, blob_of[keep], n, 2 * p))
 
 
 def _check_pairs(n: int, what: str) -> None:
@@ -289,9 +303,10 @@ class Construction(NamedTuple):
     max_p: bool = False    # the builder also takes the affine guard max_p
 
     def certificate_for(self, params: dict):
-        """The certificate for these parameters: a spec is formatted, a marker kept."""
-        return self.certificate.format_map(params) if isinstance(self.certificate, str) \
-            else self.certificate
+        """The certificate for these parameters: a spec is formatted and
+        parsed, a marker kept."""
+        return parse_forbidden_spec(self.certificate.format_map(params)) \
+            if isinstance(self.certificate, str) else self.certificate
 
 
 CONSTRUCTIONS = {
@@ -304,14 +319,14 @@ CONSTRUCTIONS = {
 }
 
 
-def check_split(split: SplitGraph, mode: str, spec) -> tuple:
+def check_split(split: SplitGraph, mode: str, pattern) -> tuple:
     """(verification report, forbidden-pattern result or None, whether both
-    passed) for a pattern spec, TWO_COLORED, or None (no pattern check)."""
+    passed) for a parsed pattern, TWO_COLORED, or None (no pattern check)."""
     report, fr = verify_split(split, mode), None
-    if spec is TWO_COLORED:
+    if pattern is TWO_COLORED:
         fr = {"spec": "any non-bipartite graph",
               "free": two_coloring(split.graph) is not None, "witness": None}
-    elif spec is not None:
-        mapping = check_forbidden(split.graph, parse_forbidden_spec(spec))
-        fr = {"spec": spec, "free": mapping is None, "witness": witness_json(mapping)}
+    elif pattern is not None:
+        mapping = check_forbidden(split.graph, pattern)
+        fr = {"spec": pattern.spec, "free": mapping is None, "witness": witness_json(mapping)}
     return report, fr, report.passed and (fr is None or fr["free"])

@@ -24,6 +24,7 @@ from .errors import DegenerateHost, InvariantViolation, ParameterError, SizeGuar
 from .graphs import Graph, SplitGraph, prune_to_split
 
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
+MC_ROW_BLOCK = 1 << 9  # samples drawn and bit-sliced at a time; memory only, not the result
 MC_EDGE_CHUNK = 1 << 10  # edges OR-reduced at a time; memory only, not the result
 MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's colors, counted at 8 B each
 MAX_TRIM_PARTS = 1 << 20  # guard on the q - 1 parts that trim's case 1 lists
@@ -110,13 +111,15 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
     samples uses the trial rng (seed, b), so the estimate depends only on
     (host, n, samples, seed).
 
-    Each batch is drawn by one call (drawing it in pieces would change the
-    stream), as uint32 when n <= 2**32: numpy draws both uint32 and int64
-    in that range by the same 32-bit Lemire method, so the values are equal.
-    Colors are clipped to 0, 1 and 2 (the rest) and bit-sliced across
-    samples: bit s of the word row zero[x]
-    (one[x]) is set when sample s gives vertex x color 0 (1).  A sample is
-    bicolored when some edge has its bit set in
+    A batch is drawn MC_ROW_BLOCK samples at a time from its generator,
+    which gives the values of one whole draw: numpy's PCG64 keeps the spare
+    32-bit half of a 64-bit output in the bit generator, not in the call.
+    Colors are drawn as uint32 when n <= 2**32: numpy draws both uint32 and
+    int64 in that range by the same 32-bit Lemire method, so the values are
+    equal.  Each block is bit-sliced across samples straight into the
+    batch's words, so no (batch, V) array is held: bit s of the word row
+    zero[x] (one[x]) is set when sample s gives vertex x color 0 (1).  A
+    sample is bicolored when some edge has its bit set in
     (zero[u] & one[v]) | (one[u] & zero[v]); the edges are OR-reduced
     MC_EDGE_CHUNK at a time, so no (batch, M) array is built.
     """
@@ -137,14 +140,16 @@ def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairF
     batch_index = 0
     while done < samples:
         size = min(MC_BATCH, samples - done)
-        colors = _trial_rng(seed, batch_index).integers(0, n, size=(size, host.V), dtype=dtype)
-        np.minimum(colors, 2, out=colors)
-        sliced = np.full((host.V, -(-size // 64) * 64), 2, dtype=np.uint8)  # padding: neither
-        for lo in range(0, host.V, 64):  # narrow casts keep each transposed block in cache
-            sliced[lo:lo + 64, :size] = colors[:, lo:lo + 64].astype(np.uint8).T
-        del colors
-        zero = np.packbits(sliced == 0, axis=1, bitorder="little").view(np.uint64)
-        one = np.packbits(sliced == 1, axis=1, bitorder="little").view(np.uint64)
+        rng = _trial_rng(seed, batch_index)
+        planes = np.zeros((2, host.V, -(-size // 64)), dtype=np.uint64)  # padding: neither
+        for lo in range(0, size, MC_ROW_BLOCK):
+            colors = rng.integers(0, n, size=(min(MC_ROW_BLOCK, size - lo), host.V), dtype=dtype)
+            # per vertex, the block's samples padded back to the byte holding bit lo
+            bits = np.zeros((2, host.V, lo % 8 + len(colors)), dtype=bool)
+            np.equal(colors.T, np.array([0, 1], dtype=dtype)[:, None, None], out=bits[..., lo % 8:])
+            packed = np.packbits(bits, axis=2, bitorder="little")
+            planes.view(np.uint8)[..., lo // 8:lo // 8 + packed.shape[2]] |= packed
+        zero, one = planes
         hit = np.zeros(zero.shape[1], dtype=np.uint64)
         for lo in range(0, host.M, MC_EDGE_CHUNK):
             cu, cv = u[lo:lo + MC_EDGE_CHUNK], v[lo:lo + MC_EDGE_CHUNK]

@@ -43,6 +43,19 @@ def test_construct_affine_bad_p(capsys):
     assert result["error"]["type"] == "CompositeCharacteristic"
 
 
+def test_bad_pattern_is_refused_before_any_file_is_written(capsys, tmp_path):
+    out = tmp_path / "x.sg"
+    code, result = invoke(capsys, "construct", "affine", "--p", "2", "--forbidden", "Q4",
+                          "-o", str(out))
+    assert code == 1 and result["error"]["type"] == "GrammarError"
+    assert not out.exists()
+    # a check that runs and fails still writes its file
+    code, result = invoke(capsys, "construct", "bipartite", "--n", "6", "--forbidden", "C4",
+                          "-o", str(out))
+    assert code == 1 and result["forbidden"]["free"] is False
+    assert read_split(out).n == 6
+
+
 def test_pipeline_size_guard_exit(capsys):
     code, result = invoke(capsys, "construct", "c4pipeline", "--n", "100000")
     assert code == 1

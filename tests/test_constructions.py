@@ -1,6 +1,8 @@
 """Constructions: prime search, affine plane and its split, the C4-free
 pipeline, bipartite and star splits, coloring-based splits, round robins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conftest import all_pairs, complete_graph, crossed_blob_pairs
 from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
+    affine_blob_assignment,
     build_affine_plane,
     build_affine_split,
     build_bipartite_split,
@@ -33,7 +36,14 @@ from splitfree.errors import (
 )
 from splitfree.fields import FieldElement
 from splitfree.freeness import contains_subgraph, is_c4_free, is_kst_free, parse_forbidden_spec
-from splitfree.graphs import connected_components, two_coloring, verify_split, write_split
+from splitfree.graphs import (
+    connected_components,
+    prune_to_split,
+    restrict_blobs,
+    two_coloring,
+    verify_split,
+    write_split,
+)
 
 
 def test_next_prime_examples():
@@ -156,6 +166,40 @@ def test_pipeline_small():
     assert is_c4_free(s.graph) is None
     with pytest.raises(ParameterError):
         construct_c4_free_split(7)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_masked_incidence_graph_is_the_restricted_split(p):
+    # the pipeline's generator against the lax graph restricted afterwards
+    full = build_affine_split(p)
+    plane = build_affine_plane(p)
+    assert plane.incidence_graph() == full.graph
+    blob_of = affine_blob_assignment(p)
+    seeded = np.random.default_rng(p).integers(1, p ** 3 + 1, size=3).tolist()
+    for n in sorted({1, 2, p, p * p + 1, p ** 3 - 1, p ** 3, *seeded}):
+        keep = blob_of < n
+        restricted = restrict_blobs(full, n)
+        assert plane.incidence_graph(keep) == restricted.graph, n
+        assert np.array_equal(blob_of[keep], restricted.blob_of), n
+
+
+def test_pipeline_is_the_pruned_restriction():
+    for n in (8, 9, 27, 100, 343, 500):
+        p = pipeline_parameters(n)[2]
+        assert construct_c4_free_split(n) == \
+            prune_to_split(restrict_blobs(build_affine_split(p), n)), n
+
+
+def test_pipeline_peak_memory_is_below_the_lax_graph():
+    # p = 11: the p^6 lax incidences alone would take 16 B each as an edge array
+    tracemalloc.start()
+    try:
+        split = construct_c4_free_split(500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.k == 22
+    assert peak < 11 ** 6 * 16
 
 
 def test_pipeline_blob_size_vs_target():

@@ -19,6 +19,8 @@ from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, ver
 from splitfree.freeness import is_c4_free
 from splitfree.probabilistic import (
     MC_BATCH,
+    MC_EDGE_CHUNK,
+    MC_ROW_BLOCK,
     FailureStats,
     PairFailureEstimate,
     concentration_report,
@@ -462,18 +464,36 @@ def test_estimate_peak_memory_is_one_color_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < samples * host.V * 8  # below one int64 color batch
+    assert peak < samples * host.V * 4  # below one uint32 color batch
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32])
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
+                               2 ** 32 + 1, 2 ** 63 - 1])
 def test_uint32_draw_equals_int64_draw(n):
-    # estimate_pair_failure draws uint32 colors for n <= 2**32 and relies on
-    # numpy giving the int64 values (uint8 and uint16 draws do differ)
+    # estimate_pair_failure draws uint32 colors for n <= 2**32 (int64 above),
+    # in row blocks, and relies on numpy giving the values of one whole int64
+    # draw (uint8 and uint16 draws do differ); odd blocks of 65 columns end
+    # inside a 64-bit output
+    dtype = np.uint32 if n <= 2 ** 32 else np.int64
     for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
         wide = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65))
-        narrow = probabilistic._trial_rng(seed, batch).integers(
-            0, n, size=(33, 65), dtype=np.uint32)
+        narrow = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65), dtype=dtype)
+        rng = probabilistic._trial_rng(seed, batch)
+        blocks = [rng.integers(0, n, size=(rows, 65), dtype=dtype) for rows in (1, 5, 7, 9, 11)]
         assert np.array_equal(wide, narrow)
+        assert np.array_equal(wide, np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("row_block, edge_chunk", [(1, MC_EDGE_CHUNK), (7, MC_EDGE_CHUNK),
+                                                   (64, MC_EDGE_CHUNK), (MC_BATCH, MC_EDGE_CHUNK),
+                                                   (MC_ROW_BLOCK, 1)])
+def test_estimate_does_not_depend_on_block_sizes(row_block, edge_chunk, monkeypatch):
+    host = prune_to_split(build_affine_split(3)).graph
+    samples = MC_BATCH + 1000  # a full batch and a short one
+    default = estimate_pair_failure(host, 9, samples, 13)
+    monkeypatch.setattr(probabilistic, "MC_ROW_BLOCK", row_block)
+    monkeypatch.setattr(probabilistic, "MC_EDGE_CHUNK", edge_chunk)
+    assert estimate_pair_failure(host, 9, samples, 13) == default
 
 
 def test_estimate_color_count_range(c6):
