@@ -75,8 +75,12 @@ class AffinePlane:
         p, q = self.field.p, self.q
         vcount = 2 * q * q if keep is None else int(np.count_nonzero(keep))
         new_id = None if keep is None else np.cumsum(keep) - 1
-        xi = np.tile(np.arange(q, dtype=np.int64), q)
-        bi = np.repeat(np.arange(q, dtype=np.int64), q)
+        if keep is None:
+            xs = slopes = np.arange(q, dtype=np.int64)
+        else:  # only the x values and slopes that carry a kept point or line
+            xs, slopes = (np.flatnonzero(row) for row in keep.reshape(2, q, q).any(axis=2))
+        xi = np.tile(xs, q)
+        bi = np.repeat(np.arange(q, dtype=np.int64), len(xs))
         x0, x1 = xi % p, xi // p
         b0, b1 = bi % p, bi // p
         # encoded edge keys point*V + line, filled slope by slope; a point is
@@ -84,7 +88,7 @@ class AffinePlane:
         points = q * q if keep is None else int(np.count_nonzero(keep[:q * q]))
         keys = np.empty(q * points, dtype=np.int64)
         filled = 0
-        for mi in range(q):
+        for mi in slopes.tolist():
             mx0, mx1 = self.field.mul_arrays(mi % p, mi // p, x0, x1)
             y0, y1 = self.field.add_arrays(mx0, mx1, b0, b1)
             point, line = xi * q + (y1 * p + y0), q * q + mi * q + bi

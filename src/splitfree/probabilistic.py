@@ -24,9 +24,8 @@ from .errors import DegenerateHost, InvariantViolation, ParameterError, SizeGuar
 from .graphs import Graph, SplitGraph, prune_to_split
 
 MC_BATCH = 1 << 14  # fixed Monte Carlo batch size; part of the seed contract
-MC_ROW_BLOCK = 1 << 9  # samples drawn and bit-sliced at a time; memory only, not the result
-MC_EDGE_CHUNK = 1 << 10  # edges OR-reduced at a time; memory only, not the result
-MAX_MC_BATCH_BYTES = 1 << 30  # guard on one batch's colors, counted at 8 B each
+MC_BLOCK_BYTES = 1 << 20  # bytes one row block of words, or one edge chunk, holds; memory only
+MAX_MC_BATCH_BYTES = 1 << 30  # guard on the bytes estimate_pair_failure holds for one batch
 MAX_TRIM_PARTS = 1 << 20  # guard on the q - 1 parts that trim's case 1 lists
 
 
@@ -105,60 +104,124 @@ class PairFailureEstimate:
     seed: int
 
 
+class _AcceptedWords:
+    """The words of a generator that rng.integers(0, n) accepts, in draw order.
+
+    numpy draws integers(0, n) by Lemire's method (Lemire, *Fast Random
+    Integer Generation in an Interval*, ACM TOMACS 2019) on w-bit words: the
+    low-first 32-bit halves of the bit generator's 64-bit outputs when
+    n <= 2**32, whole outputs above.  A word x is rejected when
+    (x*n) mod 2**w < 2**w mod n; an accepted one is the value (x*n) >> w,
+    so it is 0 when x <= last0 and at most 1 when x <= last1.  take(k)
+    returns the next k accepted words and keeps the rest for the next call.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        width = 32 if n <= 1 << 32 else 64
+        self.dtype = np.dtype(f"<u{width // 8}")
+        self.last0 = self.dtype.type(((1 << width) - 1) // n)
+        self.last1 = self.dtype.type(((2 << width) - 1) // n)
+        self.factor = self.dtype.type(n % (1 << width))
+        self.reject_below = (1 << width) % n
+        self.bit_generator = rng.bit_generator
+        self.carry = np.empty(0, self.dtype)
+
+    def take(self, count: int) -> np.ndarray:
+        words = self.carry
+        while len(words) < count:
+            missing = count - len(words)
+            raw = self.bit_generator.random_raw(-(-missing * self.dtype.itemsize // 8))
+            fresh = raw.astype("<u8", copy=False).view(self.dtype)  # low half first
+            if self.reject_below:
+                rejected = np.multiply(fresh, self.factor) < self.reject_below
+                if rejected.any():
+                    fresh = fresh[~rejected]
+            words = np.concatenate((words, fresh)) if len(words) else fresh
+        self.carry = words[count:].copy()  # a copy, so the block's memory goes with it
+        return words[:count]
+
+
+def _mc_plan(V: int, M: int, size: int, n: int) -> tuple[int, int, int]:
+    """(rows per block, edges per chunk, bytes held) for a batch of size samples.
+
+    MC_BLOCK_BYTES sizes a row block by its words, their transpose and its
+    two bool planes, and an edge chunk by its four endpoint gathers.  A
+    block is a multiple of 8 rows, so each fills whole bytes of the planes.
+    The bytes held are the two (V, ceil(size/64)) bit planes plus one
+    block, one chunk, and the hit words with their unpacked bits."""
+    words = -(-size // 64)
+    per_row = V * (2 * (4 if n <= 1 << 32 else 8) + 3)
+    per_edge = 4 * words * 8
+    rows = min(-(-size // 8) * 8, max(8, MC_BLOCK_BYTES // max(per_row, 1) // 8 * 8))
+    edges = max(1, min(M, MC_BLOCK_BYTES // per_edge))
+    return rows, edges, (2 * V + 9) * words * 8 + rows * per_row + edges * per_edge
+
+
+def _bit_slice(planes: np.ndarray, lo: int, block: np.ndarray, words: _AcceptedWords) -> None:
+    """Set bit lo + s of planes[0][x] (planes[1][x]) when row s of block
+    gives vertex x color 0 (color 0 or 1); lo is a multiple of 8.  A
+    function of its own, so a block's arrays are freed before the next
+    block is drawn."""
+    by_vertex = np.ascontiguousarray(block.T)  # the compares run fastest on contiguous rows
+    # whole bytes per vertex, so one flat packbits packs every vertex's row
+    nbytes = -(-len(block) // 8)
+    bits = np.zeros((2, len(by_vertex), nbytes * 8), dtype=bool)
+    np.less_equal(by_vertex, words.last0, out=bits[0, :, :len(block)])
+    np.less_equal(by_vertex, words.last1, out=bits[1, :, :len(block)])
+    packed = np.packbits(bits, bitorder="little").reshape(2, len(by_vertex), nbytes)
+    planes.view(np.uint8)[..., lo // 8:lo // 8 + nbytes] = packed
+
+
+def _batch_failures(host: Graph, n: int, size: int, rng: np.random.Generator) -> int:
+    """The samples of one batch in which no edge gets the color pair {0, 1}."""
+    rows, edges, _ = _mc_plan(host.V, host.M, size, n)
+    words = _AcceptedWords(rng, n)
+    planes = np.zeros((2, host.V, -(-size // 64)), dtype=np.uint64)  # padding: neither
+    for lo in range(0, size, rows):
+        count = min(rows, size - lo)
+        _bit_slice(planes, lo, words.take(count * host.V).reshape(count, host.V), words)
+    zero, one = planes
+    one ^= zero  # color at most 1 and not 0
+    u = host.edges[:, 0]
+    v = host.edges[:, 1]
+    hit = np.zeros(zero.shape[1], dtype=np.uint64)
+    for lo in range(0, host.M, edges):
+        cu, cv = u[lo:lo + edges], v[lo:lo + edges]
+        bicolored = zero[cu] & one[cv]
+        bicolored |= one[cu] & zero[cv]
+        hit |= np.bitwise_or.reduce(bicolored, axis=0)
+    return size - int(np.unpackbits(hit.view(np.uint8)).sum())
+
+
 def estimate_pair_failure(host: Graph, n: int, samples: int, seed: int) -> PairFailureEstimate:
     """Monte Carlo estimate of the probability that no host edge gets the
     color pair {0, 1} under a uniform n-coloring.  Batch b of MC_BATCH
     samples uses the trial rng (seed, b), so the estimate depends only on
     (host, n, samples, seed).
 
-    A batch is drawn MC_ROW_BLOCK samples at a time from its generator,
-    which gives the values of one whole draw: numpy's PCG64 keeps the spare
-    32-bit half of a 64-bit output in the bit generator, not in the call.
-    Colors are drawn as uint32 when n <= 2**32: numpy draws both uint32 and
-    int64 in that range by the same 32-bit Lemire method, so the values are
-    equal.  Each block is bit-sliced across samples straight into the
-    batch's words, so no (batch, V) array is held: bit s of the word row
-    zero[x] (one[x]) is set when sample s gives vertex x color 0 (1).  A
-    sample is bicolored when some edge has its bit set in
-    (zero[u] & one[v]) | (one[u] & zero[v]); the edges are OR-reduced
-    MC_EDGE_CHUNK at a time, so no (batch, M) array is built.
+    A batch's colors are those of rng.integers(0, n, (size, V)), read
+    straight off its generator's words (_AcceptedWords) a row block at a
+    time.  Each block is bit-sliced across samples into the batch's words,
+    so no (batch, V) array is held: bit s of the word row zero[x] (one[x])
+    is set when sample s gives vertex x color 0 (1).  A sample is
+    bicolored when some edge has its bit set in
+    (zero[u] & one[v]) | (one[u] & zero[v]); the edges are OR-reduced a
+    chunk at a time, so no (batch, M) array is built.  Block and chunk
+    sizes follow MC_BLOCK_BYTES and change only the memory, not the result.
     """
     if samples < 1:
         raise ParameterError(f"need samples >= 1, got {samples}")
     if not 2 <= n < 1 << 63:
         raise ParameterError(f"need 2 <= n < 2**63 colors, got {n}")
-    batch_bytes = min(samples, MC_BATCH) * host.V * 8
-    if batch_bytes > MAX_MC_BATCH_BYTES:
+    held = _mc_plan(host.V, host.M, min(samples, MC_BATCH), n)[2]
+    if held > MAX_MC_BATCH_BYTES:
         raise SizeGuard(
             f"a Monte Carlo batch of {min(samples, MC_BATCH)} colorings of {host.V} "
-            f"vertices needs {batch_bytes} bytes; guard is {MAX_MC_BATCH_BYTES}")
-    u = host.edges[:, 0]
-    v = host.edges[:, 1]
-    dtype = np.uint32 if n <= 1 << 32 else np.int64
+            f"vertices holds {held} bytes; guard is {MAX_MC_BATCH_BYTES}")
     failures = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        size = min(MC_BATCH, samples - done)
-        rng = _trial_rng(seed, batch_index)
-        planes = np.zeros((2, host.V, -(-size // 64)), dtype=np.uint64)  # padding: neither
-        for lo in range(0, size, MC_ROW_BLOCK):
-            colors = rng.integers(0, n, size=(min(MC_ROW_BLOCK, size - lo), host.V), dtype=dtype)
-            # per vertex, the block's samples padded back to the byte holding bit lo
-            bits = np.zeros((2, host.V, lo % 8 + len(colors)), dtype=bool)
-            np.equal(colors.T, np.array([0, 1], dtype=dtype)[:, None, None], out=bits[..., lo % 8:])
-            packed = np.packbits(bits, axis=2, bitorder="little")
-            planes.view(np.uint8)[..., lo // 8:lo // 8 + packed.shape[2]] |= packed
-        zero, one = planes
-        hit = np.zeros(zero.shape[1], dtype=np.uint64)
-        for lo in range(0, host.M, MC_EDGE_CHUNK):
-            cu, cv = u[lo:lo + MC_EDGE_CHUNK], v[lo:lo + MC_EDGE_CHUNK]
-            rows = zero[cu] & one[cv]
-            rows |= one[cu] & zero[cv]
-            hit |= np.bitwise_or.reduce(rows, axis=0)
-        failures += size - int(np.unpackbits(hit.view(np.uint8)).sum())
-        done += size
-        batch_index += 1
+    for batch_index, lo in enumerate(range(0, samples, MC_BATCH)):
+        size = min(MC_BATCH, samples - lo)
+        failures += _batch_failures(host, n, size, _trial_rng(seed, batch_index))
     p_hat = failures / samples
     return PairFailureEstimate(
         estimate=p_hat,

@@ -285,8 +285,14 @@ def test_non_utf8_input_is_parse_error(name, capsys, tmp_path):
 
 
 def test_estimate_size_guard_exit_1(capsys, tmp_path):
-    host = tmp_path / "wide.g"
-    write_graph(Graph(10000, np.array([[0, 1]])), host)  # one batch: 16384*10000*8 B
+    # a full batch holds two bit planes of 256 words of 8 B a vertex
+    fits = tmp_path / "wide.g"
+    write_graph(Graph(10000, np.array([[0, 1]])), fits)  # about 41 MB
+    code, result = invoke(capsys, "estimate", "--input", str(fits), "--n", "2",
+                          "--samples", "16384", "--seed", "0")
+    assert code == 0 and result["passed"]
+    host = tmp_path / "wider.g"
+    write_graph(Graph(300000, np.array([[0, 1]])), host)  # 1.2 GB > 1 GiB
     code, result = invoke(capsys, "estimate", "--input", str(host), "--n", "2",
                           "--samples", "16384", "--seed", "0")
     assert code == 1 and not result["passed"]

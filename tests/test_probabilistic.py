@@ -19,8 +19,7 @@ from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, ver
 from splitfree.freeness import is_c4_free
 from splitfree.probabilistic import (
     MC_BATCH,
-    MC_EDGE_CHUNK,
-    MC_ROW_BLOCK,
+    MC_BLOCK_BYTES,
     FailureStats,
     PairFailureEstimate,
     concentration_report,
@@ -442,8 +441,9 @@ def test_edge_cases_match_references(c6):
         for seed in range(5):
             assert_same_split_result(random_split(host, n, k_cap, 30, seed),
                                      reference_random_split(host, n, k_cap, 30, seed))
+    vertexless = Graph(0, np.empty((0, 2), np.int64))
     for host, n, samples in ((edgeless, 2, 65), (sparse, 4, MC_BATCH + 1), (c6, 8, 63),
-                             (c6, 10 ** 12, 65)):  # no table of n entries
+                             (c6, 10 ** 12, 65), (vertexless, 2, 65)):  # no table of n entries
         assert estimate_pair_failure(host, n, samples, 3) == \
             reference_estimate_pair_failure(host, n, samples, 3)
 
@@ -467,13 +467,31 @@ def test_estimate_peak_memory_is_one_color_batch():
     assert peak < samples * host.V * 4  # below one uint32 color batch
 
 
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32,
+                               2 ** 32 + 1, 3 * 2 ** 61, 2 ** 63 - 1])
+def test_accepted_words_decode_to_the_integers_draw(n):
+    # estimate_pair_failure reads a batch's colors off the generator's words;
+    # decoded as (x*n) >> w with Python integers they must be numpy's own
+    # int64 draw.  2**31 + 1, 3 * 2**30 and 3 * 2**61 reject up to half the
+    # words; cuts of odd length end inside a 64-bit output on the 32-bit path
+    width = 32 if n <= 2 ** 32 else 64
+    cuts = (1, 5, 7, 9, 11, 0, 1967)
+    for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
+        want = probabilistic._trial_rng(seed, batch).integers(0, n, size=sum(cuts))
+        words = probabilistic._AcceptedWords(probabilistic._trial_rng(seed, batch), n)
+        got = np.concatenate([words.take(k) for k in cuts])
+        assert [int(x) * n >> width for x in got] == want.tolist()
+        assert np.array_equal(got <= words.last0, want == 0)
+        assert np.array_equal(got <= words.last1, want <= 1)
+
+
 @pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
                                2 ** 32 + 1, 2 ** 63 - 1])
 def test_uint32_draw_equals_int64_draw(n):
-    # estimate_pair_failure draws uint32 colors for n <= 2**32 (int64 above),
-    # in row blocks, and relies on numpy giving the values of one whole int64
-    # draw (uint8 and uint16 draws do differ); odd blocks of 65 columns end
-    # inside a 64-bit output
+    # numpy draws int64 values below 2**32 from 32-bit words, as it draws
+    # uint32 ones, which is why _AcceptedWords reads 32-bit words there; the
+    # draw in row blocks gives the values of one whole draw (uint8 and uint16
+    # draws do differ); odd blocks of 65 columns end inside a 64-bit output
     dtype = np.uint32 if n <= 2 ** 32 else np.int64
     for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
         wide = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65))
@@ -484,16 +502,37 @@ def test_uint32_draw_equals_int64_draw(n):
         assert np.array_equal(wide, np.concatenate(blocks))
 
 
-@pytest.mark.parametrize("row_block, edge_chunk", [(1, MC_EDGE_CHUNK), (7, MC_EDGE_CHUNK),
-                                                   (64, MC_EDGE_CHUNK), (MC_BATCH, MC_EDGE_CHUNK),
-                                                   (MC_ROW_BLOCK, 1)])
-def test_estimate_does_not_depend_on_block_sizes(row_block, edge_chunk, monkeypatch):
+# h3 has 162 vertices and 351 edges: a row costs 162 * 11 B and an edge of a
+# full batch 4 * 256 * 8 B; blocks are whole bytes of rows, so a budget of
+# 1 B still takes 8 rows and 1 edge
+@pytest.mark.parametrize("budget, rows, edges", [
+    pytest.param(1, 8, 1, id="eight-rows-one-edge"),
+    pytest.param(100 * 162 * 11, 96, 21, id="ninety-six-rows"),
+    pytest.param(MC_BLOCK_BYTES, 584, 128, id="default"),
+    pytest.param(1 << 40, MC_BATCH, 351, id="whole-batch"),
+])
+def test_estimate_does_not_depend_on_block_sizes(budget, rows, edges, monkeypatch):
     host = prune_to_split(build_affine_split(3)).graph
     samples = MC_BATCH + 1000  # a full batch and a short one
-    default = estimate_pair_failure(host, 9, samples, 13)
-    monkeypatch.setattr(probabilistic, "MC_ROW_BLOCK", row_block)
-    monkeypatch.setattr(probabilistic, "MC_EDGE_CHUNK", edge_chunk)
-    assert estimate_pair_failure(host, 9, samples, 13) == default
+    monkeypatch.setattr(probabilistic, "MC_BLOCK_BYTES", budget)
+    assert probabilistic._mc_plan(host.V, host.M, MC_BATCH, 9)[:2] == (rows, edges)
+    assert estimate_pair_failure(host, 9, samples, 13) == \
+        reference_estimate_pair_failure(host, 9, samples, 13)
+
+
+@pytest.mark.parametrize("n", [20, 2 ** 40])
+def test_estimate_peak_memory_is_the_guarded_bytes(n):
+    # measured <= predicted: the bytes the size guard counts for a full batch
+    # bound what the estimator holds, on the 32-bit and the 64-bit word path
+    rng = np.random.default_rng(5)
+    host = random_graph(2000, 0.002, rng)
+    tracemalloc.start()
+    try:
+        estimate_pair_failure(host, n, MC_BATCH, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= probabilistic._mc_plan(host.V, host.M, MC_BATCH, n)[2]
 
 
 def test_estimate_color_count_range(c6):
@@ -522,11 +561,15 @@ def test_random_split_without_enough_edges_allocates_no_pair_buffer():
 
 
 def test_estimate_size_guard_before_drawing(monkeypatch):
-    host = Graph(10000, np.empty((0, 2), np.int64))
+    # a full batch holds two bit planes of 256 words of 8 B a vertex: 1.2 GB
+    # (> 1 GiB) at 300000 vertices, about 41 MB at 10000
+    host = Graph(300000, np.empty((0, 2), np.int64))
     with pytest.raises(SizeGuard):
-        estimate_pair_failure(host, 2, MC_BATCH, 0)  # 16384 * 10000 * 8 B > 1 GiB
-    # the bound is exact: 64 samples of 10 vertices fit, 65 do not
-    monkeypatch.setattr(probabilistic, "MAX_MC_BATCH_BYTES", 64 * 10 * 8)
+        estimate_pair_failure(host, 2, MC_BATCH, 0)
+    # the bound is exact: 64 samples of 10 vertices hold 2 * 10 plane words
+    # and 9 hit words (8 B each), a block of 64 rows of 10 colors at 11 B and
+    # a chunk of four 1-word gathers, 7304 B in all; 65 samples take 8448 B
+    monkeypatch.setattr(probabilistic, "MAX_MC_BATCH_BYTES", 7304)
     small = Graph(10, np.empty((0, 2), np.int64))
     assert estimate_pair_failure(small, 2, 64, 0).estimate == 1.0
     with pytest.raises(SizeGuard):

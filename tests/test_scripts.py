@@ -87,3 +87,35 @@ def test_benchmark_setup_builders_run(tmp_path, monkeypatch):
     assert read_coloring(tmp_path / "round_robin.out").n == 5
     for name in tiny.keys() - {"round_robin"}:
         assert verify_split(read_split(tmp_path / f"{name}.out"), "lax").passed
+
+
+def _result_record(metrics: dict, passes: list[tuple[float, float]]) -> dict:
+    """A run.py result file cut down to what bench_ab reads: the end-to-end
+    metrics and, per pass, one invocation's latency and peak."""
+    return {"result": {"metrics": {name: {"value": v, "unit": "s"} for name, v in metrics.items()}},
+            "passes": [{"latency_s": {"estimate_h3": lat}, "maxrss_mb": {"estimate_h3": rss}}
+                       for lat, rss in passes]}
+
+
+def test_bench_ab_summarizes_two_result_files(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    files = {"parent": _result_record({"slowest_op_s": 0.66, "peak_rss_mb": 49.5},
+                                      [(0.53, 39.7), (0.69, 39.6), (0.50, 39.7)]),
+             "change": _result_record({"slowest_op_s": 0.55, "peak_rss_mb": 49.6},
+                                      [(0.25, 37.3), (0.75, 37.2)])}
+    for side, record in files.items():
+        (tmp_path / f"{side}.json").write_text(json.dumps(record))
+    runs = {side: [json.loads((tmp_path / f"{side}.json").read_text())] for side in files}
+    table = bench_ab.summarize(runs)
+    assert table["pairs"] == 1
+    assert table["parent"]["passes"] == [3] and table["change"]["passes"] == [2]
+    assert table["parent"]["metrics"]["slowest_op_s"] == {"q1": 0.66, "median": 0.66, "q3": 0.66}
+    assert table["change_lower"] == {"slowest_op_s": 1, "peak_rss_mb": 0}
+    assert table["parent"]["invocations"]["estimate_h3"] == {"median_s": 0.53, "max_s": 0.69,
+                                                             "peak_mb": 39.7}
+    assert table["change"]["invocations"]["estimate_h3"] == {"median_s": 0.5, "max_s": 0.75,
+                                                             "peak_mb": 37.3}
+    runs = {side: runs[side] * 5 for side in runs}  # quartiles over several runs
+    assert bench_ab.summarize(runs)["change"]["metrics"]["peak_rss_mb"]["q3"] == 49.6
