@@ -504,9 +504,10 @@ def test_uint32_draw_equals_int64_draw(n):
 
 # h3 has 162 vertices and 351 edges: a row costs 162 * 11 B and an edge of a
 # full batch 4 * 256 * 8 B; blocks are whole bytes of rows, so a budget of
-# 1 B still takes 8 rows and 1 edge
+# 15 rows takes 8 (and 3 edges), and one of 1 B still takes 8 rows and 1 edge
 @pytest.mark.parametrize("budget, rows, edges", [
-    pytest.param(1, 8, 1, id="eight-rows-one-edge"),
+    pytest.param(15 * 162 * 11, 8, 3, id="eight-rows"),
+    pytest.param(1, 8, 1, id="one-edge"),
     pytest.param(100 * 162 * 11, 96, 21, id="ninety-six-rows"),
     pytest.param(MC_BLOCK_BYTES, 584, 128, id="default"),
     pytest.param(1 << 40, MC_BATCH, 351, id="whole-batch"),
