@@ -22,7 +22,7 @@ from .constructions import (
     round_robin_coloring,
     write_coloring,
 )
-from .fields import Field, FieldElement, make_quadratic_field
+from .fields import Field, make_quadratic_field
 from .freeness import (
     BicliqueWitness,
     ForbiddenGraph,
@@ -37,7 +37,6 @@ from .graphs import (
     Graph,
     SplitGraph,
     VerificationReport,
-    build_graph,
     connected_components,
     prune_to_split,
     read_graph,

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import formats
-from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard, TooLarge
+from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard
 from .fields import Field, is_prime, make_quadratic_field
 from .freeness import check_forbidden, parse_forbidden_spec, witness_json
 from .graphs import Graph, SplitGraph, prune_to_split, two_coloring, verify_split
@@ -34,18 +34,14 @@ MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 
 MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
 
 
-class PrimeSearch(NamedTuple):
-    p: int
-
-
-def next_prime(k: int) -> PrimeSearch:
+def next_prime(k: int) -> int:
     """Smallest prime >= k, found by testing upward."""
     if k < 2:
         raise ParameterError(f"next_prime needs k >= 2, got {k}")
     p = k
     while not is_prime(p):
         p += 1
-    return PrimeSearch(p)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -68,33 +64,30 @@ class AffinePlane:
     def q(self) -> int:
         return self.field.order
 
-    def incidence_graph(self, keep: np.ndarray | None = None) -> Graph:
-        """Bipartite point-line incidence graph on 2*q^2 vertices, q^3 edges.
-        With a vertex mask, only the kept vertices, numbered cumsum(keep) - 1,
-        and the incidences between them."""
+    def incidence_graph(self, keep: np.ndarray) -> Graph:
+        """The bipartite point-line incidence graph (2*q^2 vertices, q^3 edges)
+        on the vertices of the mask `keep`, numbered cumsum(keep) - 1: the
+        kept points and lines and the incidences between them."""
         p, q = self.field.p, self.q
-        vcount = 2 * q * q if keep is None else int(np.count_nonzero(keep))
-        new_id = None if keep is None else np.cumsum(keep) - 1
-        if keep is None:
-            xs = slopes = np.arange(q, dtype=np.int64)
-        else:  # only the x values and slopes that carry a kept point or line
-            xs, slopes = (np.flatnonzero(row) for row in keep.reshape(2, q, q).any(axis=2))
+        vcount = int(np.count_nonzero(keep))
+        new_id = np.cumsum(keep) - 1
+        # only the x values and slopes that carry a kept point or line
+        xs, slopes = (np.flatnonzero(row) for row in keep.reshape(2, q, q).any(axis=2))
         xi = np.tile(xs, q)
         bi = np.repeat(np.arange(q, dtype=np.int64), len(xs))
         x0, x1 = xi % p, xi // p
         b0, b1 = bi % p, bi // p
         # encoded edge keys point*V + line, filled slope by slope; a point is
         # on one line of each slope, so q keys per kept point suffice
-        points = q * q if keep is None else int(np.count_nonzero(keep[:q * q]))
+        points = int(np.count_nonzero(keep[:q * q]))
         keys = np.empty(q * points, dtype=np.int64)
         filled = 0
         for mi in slopes.tolist():
             mx0, mx1 = self.field.mul_arrays(mi % p, mi // p, x0, x1)
             y0, y1 = self.field.add_arrays(mx0, mx1, b0, b1)
             point, line = xi * q + (y1 * p + y0), q * q + mi * q + bi
-            if keep is not None:
-                on = keep[point] & keep[line]
-                point, line = new_id[point[on]], new_id[line[on]]
+            on = keep[point] & keep[line]
+            point, line = new_id[point[on]], new_id[line[on]]
             keys[filled:filled + len(point)] = point * vcount + line
             filled += len(point)
         return Graph.from_edge_keys(vcount, keys[:filled])
@@ -105,7 +98,7 @@ def build_affine_plane(p: int, max_p: int | None = None) -> AffinePlane:
         raise CompositeCharacteristic(f"{p} is not prime")
     limit = MAX_AFFINE_P if max_p is None else max_p
     if p > limit:
-        raise TooLarge(
+        raise SizeGuard(
             f"affine plane for p={p} has {2 * p ** 4} vertices and {p ** 6} "
             f"incidences; guard is p <= {limit}")
     return AffinePlane(make_quadratic_field(p))
@@ -132,7 +125,8 @@ def build_affine_split(p: int, max_p: int | None = None) -> SplitGraph:
     """Lax (p^3, 2p)-split of the affine incidence graph; C4-free by the
     unique-intersection property of distinct lines."""
     plane = build_affine_plane(p, max_p)
-    return SplitGraph(plane.incidence_graph(), affine_blob_assignment(p), p ** 3, 2 * p)
+    graph = plane.incidence_graph(np.ones(2 * p ** 4, dtype=bool))
+    return SplitGraph(graph, affine_blob_assignment(p), p ** 3, 2 * p)
 
 
 def _ceil_root(value: int, exponent: int) -> int:
@@ -151,7 +145,7 @@ def pipeline_parameters(n: int) -> tuple[int, int, int]:
     cube-root ceiling of n^2, k0 its square-root ceiling, p the next prime."""
     big_n = _ceil_root(n * n, 3)
     k0 = _ceil_root(big_n, 2)
-    return big_n, k0, next_prime(max(k0, 2)).p
+    return big_n, k0, next_prime(max(k0, 2))
 
 
 def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:

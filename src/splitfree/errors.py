@@ -10,19 +10,7 @@ class CompositeCharacteristic(SplitfreeError):
     pass
 
 
-class ElementOutOfField(SplitfreeError):
-    pass
-
-
 # graphs
-class EndpointOutOfRange(SplitfreeError):
-    pass
-
-
-class LoopEdge(SplitfreeError):
-    pass
-
-
 class NotALaxSplit(SplitfreeError):
     pass
 
@@ -57,10 +45,6 @@ class InstanceTooLarge(SplitfreeError):
 
 
 # constructions
-class TooLarge(SplitfreeError):
-    pass
-
-
 class SizeGuard(SplitfreeError):
     pass
 

@@ -9,15 +9,8 @@ is by the integer encoding c1*p + c0, so GF(4) enumerates as [0, 1, w, w+1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .errors import CompositeCharacteristic, ElementOutOfField, InvariantViolation, SizeGuard
-
-
-class FieldElement(NamedTuple):
-    c0: int
-    c1: int = 0
-
+from .errors import CompositeCharacteristic, InvariantViolation, SizeGuard
 
 # Miller-Rabin with the first 13 primes as witnesses is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017, "Strong pseudoprimes to twelve prime bases")
@@ -76,34 +69,15 @@ class Field:
     def order(self) -> int:
         return self.p * self.p
 
-    def check(self, a: FieldElement) -> FieldElement:
-        if not (0 <= a.c0 < self.p and 0 <= a.c1 < self.p):
-            raise ElementOutOfField(f"{a} has coefficients outside [0, {self.p})")
-        return a
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self.check(a), self.check(b)
-        return FieldElement((a.c0 + b.c0) % self.p, (a.c1 + b.c1) % self.p)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self.check(a), self.check(b)
-        p = self.p
-        # (a0 + a1 w)(b0 + b1 w) with w^2 = -r1 w - r0
-        r0, r1 = self.reduction
-        hi = a.c1 * b.c1
-        return FieldElement(
-            (a.c0 * b.c0 - hi * r0) % p,
-            (a.c0 * b.c1 + a.c1 * b.c0 - hi * r1) % p,
-        )
-
     # Vectorized coefficient arithmetic on int arrays, used by the affine-plane
     # builder.  No per-element validation; exhaustively cross-checked against
-    # the scalar operations in the test suite.
+    # a scalar reference in the test suite.
     def add_arrays(self, a0, a1, b0, b1):
         return (a0 + b0) % self.p, (a1 + b1) % self.p
 
     def mul_arrays(self, a0, a1, b0, b1):
         p = self.p
+        # (a0 + a1 w)(b0 + b1 w) with w^2 = -r1 w - r0
         r0, r1 = self.reduction
         hi = a1 * b1
         return (a0 * b0 - hi * r0) % p, (a0 * b1 + a1 * b0 - hi * r1) % p

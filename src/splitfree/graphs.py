@@ -15,9 +15,7 @@ import numpy as np
 
 from . import formats
 from .errors import (
-    EndpointOutOfRange,
     InvariantViolation,
-    LoopEdge,
     NotALaxSplit,
     ParameterError,
     SizeGuard,
@@ -43,21 +41,21 @@ class Graph:
 
     @classmethod
     def from_edge_keys(cls, vertex_count: int, keys: np.ndarray) -> "Graph":
-        """Graph of the edges keyed u*V+v (u < v); may sort `keys` in place; repeats raise."""
+        """Graph of the edges keyed u*V+v (u < v); may sort `keys` in place."""
         g = cls.__new__(cls)
         g.V = int(vertex_count)
         g._set_keys(keys)
-        if g.M != len(keys):
-            raise InvariantViolation("duplicate edge keys")
         return g
 
     def _set_keys(self, keys: np.ndarray) -> None:
         """The one canonicalization: ascending keys are taken as they are,
-        others are sorted in place, and copied only to drop repeats."""
+        others are sorted in place; a repeated edge raises."""
         if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
             keys.sort()
-            if not (keys[1:] != keys[:-1]).all():
-                keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            repeated = keys[1:] == keys[:-1]
+            if repeated.any():
+                u, v = divmod(int(keys[np.argmax(repeated)]), self.V)
+                raise InvariantViolation(f"edge ({u}, {v}) is repeated")
         self.M = len(keys)
         self.edges = np.empty((self.M, 2), dtype=np.int64)
         np.divmod(keys, self.V, out=(self.edges[:, 0], self.edges[:, 1]))
@@ -105,21 +103,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(V={self.V}, M={self.M})"
-
-
-def build_graph(vertex_count: int, edges) -> Graph:
-    """Validated Graph constructor: rejects loops and out-of-range endpoints,
-    collapses duplicate edges."""
-    e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                   dtype=np.int64).reshape(-1, 2)
-    if e.size:
-        if e.min() < 0 or e.max() >= vertex_count:
-            bad = e[(e < 0).any(axis=1) | (e >= vertex_count).any(axis=1)][0]
-            raise EndpointOutOfRange(f"edge {tuple(bad)} outside [0, {vertex_count})")
-        loops = e[:, 0] == e[:, 1]
-        if loops.any():
-            raise LoopEdge(f"loop at vertex {int(e[loops][0][0])}")
-    return Graph(vertex_count, e)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,47 @@ expectations are computed on an independent route.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from splitfree.graphs import Graph, SplitGraph, build_graph
+from splitfree.fields import Field
+from splitfree.graphs import Graph, SplitGraph
+
+
+def build_graph(vertex_count: int, edges) -> Graph:
+    """Graph of an edge list that may repeat an edge, in either orientation;
+    Graph itself refuses repeats."""
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    return Graph(vertex_count, np.unique(np.sort(e.reshape(-1, 2), axis=1), axis=0))
+
+
+class FieldElement(NamedTuple):
+    """c0 + c1*w in GF(p^2): the scalar reference for Field's array operations."""
+
+    c0: int
+    c1: int = 0
+
+
+def field_check(f: Field, a: FieldElement) -> FieldElement:
+    if not (0 <= a.c0 < f.p and 0 <= a.c1 < f.p):
+        raise ValueError(f"{a} has coefficients outside [0, {f.p})")
+    return a
+
+
+def field_add(f: Field, a: FieldElement, b: FieldElement) -> FieldElement:
+    field_check(f, a), field_check(f, b)
+    return FieldElement((a.c0 + b.c0) % f.p, (a.c1 + b.c1) % f.p)
+
+
+def field_mul(f: Field, a: FieldElement, b: FieldElement) -> FieldElement:
+    field_check(f, a), field_check(f, b)
+    # (a0 + a1 w)(b0 + b1 w) with w^2 = -r1 w - r0
+    r0, r1 = f.reduction
+    hi = a.c1 * b.c1
+    return FieldElement((a.c0 * b.c0 - hi * r0) % f.p,
+                        (a.c0 * b.c1 + a.c1 * b.c0 - hi * r1) % f.p)
 
 
 def cycle_graph(k: int) -> Graph:

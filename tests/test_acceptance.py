@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_split_census, seeded_corpus
+from conftest import brute_split_census, build_graph, seeded_corpus
 from splitfree.bounds import necessary_k_lower, split_bounds
 from splitfree.cli import run
 from splitfree.constructions import (
@@ -23,7 +23,6 @@ from splitfree.constructions import (
 )
 from splitfree.freeness import contains_subgraph, is_c4_free, is_kst_free, parse_forbidden_spec
 from splitfree.graphs import (
-    build_graph,
     connected_components,
     read_split,
     verify_split,
@@ -96,7 +95,7 @@ def pipeline_k(n: int) -> int:
     k0 = math.isqrt(big_n)
     if k0 * k0 < big_n:
         k0 += 1
-    return 2 * next_prime(k0).p
+    return 2 * next_prime(k0)
 
 
 @pytest.mark.parametrize("n", [27, 1000])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_graph
 from splitfree import bounds, constructions, freeness
 from splitfree.bounds import (
     necessary_k_lower,
@@ -22,7 +23,7 @@ from splitfree.bounds import (
 from splitfree.cli import run
 from splitfree.errors import InvariantViolation, ParameterError, UnsupportedFamily
 from splitfree.freeness import parse_forbidden_spec
-from splitfree.graphs import build_graph, write_graph
+from splitfree.graphs import write_graph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -376,7 +376,7 @@ def test_huge_primes_decided_quickly():
     # 2^61 - 1 is prime, so the affine guard refuses it; p = 10^20 + 39 prices C4 at 10^60
     proc = _run_limited(["construct", "affine", "--p", str(2 ** 61 - 1)])
     assert "Traceback" not in proc.stderr, proc.stderr
-    assert proc.returncode == 1 and json.loads(proc.stdout)["error"]["type"] == "TooLarge"
+    assert proc.returncode == 1 and json.loads(proc.stdout)["error"]["type"] == "SizeGuard"
     proc = _run_limited(["bounds", "--forbidden", "C4", "--n", str(10 ** 60)])
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["report"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_pairs, complete_graph, crossed_blob_pairs
+from conftest import FieldElement, all_pairs, complete_graph, crossed_blob_pairs, field_add, field_mul
 from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
@@ -32,11 +32,10 @@ from splitfree.errors import (
     CompositeCharacteristic,
     ParameterError,
     SizeGuard,
-    TooLarge,
 )
-from splitfree.fields import FieldElement
 from splitfree.freeness import contains_subgraph, is_c4_free, is_kst_free, parse_forbidden_spec
 from splitfree.graphs import (
+    Graph,
     connected_components,
     prune_to_split,
     restrict_blobs,
@@ -47,10 +46,9 @@ from splitfree.graphs import (
 
 
 def test_next_prime_examples():
-    assert next_prime(10).p == 11
-    assert next_prime(11).p == 11
-    result = next_prime(24)
-    assert result.p == 29
+    assert next_prime(10) == 11
+    assert next_prime(11) == 11
+    assert next_prime(24) == 29
     with pytest.raises(ParameterError):
         next_prime(1)
 
@@ -59,7 +57,7 @@ def test_next_prime_examples():
 def test_affine_plane_invariants(p):
     plane = build_affine_plane(p)
     f, q = plane.field, p * p
-    g = plane.incidence_graph()
+    g = plane.incidence_graph(np.ones(2 * p ** 4, dtype=bool))
     assert g.V == 2 * q * q and g.M == q ** 3
     deg = g.degrees()
     assert (deg == q).all()  # every point on q lines, every line has q points
@@ -69,7 +67,7 @@ def test_affine_plane_invariants(p):
     for mi, m in enumerate(elems):
         seen = []
         for bi, b in enumerate(elems):
-            ys = [f.add(f.mul(m, x), b) for x in elems]
+            ys = [field_add(f, field_mul(f, m, x), b) for x in elems]
             on_line = sorted(xi * q + y.c1 * p + y.c0 for xi, y in enumerate(ys))
             assert g.neighbors(q * q + mi * q + bi).tolist() == on_line
             seen += on_line
@@ -81,7 +79,7 @@ def test_affine_plane_invariants(p):
 def test_affine_plane_guards():
     with pytest.raises(CompositeCharacteristic):
         build_affine_plane(4)
-    with pytest.raises(TooLarge):
+    with pytest.raises(SizeGuard, match="guard is p <= 31"):
         build_affine_plane(37)
     build_affine_plane(37, max_p=37)  # guard is overridable
 
@@ -168,12 +166,25 @@ def test_pipeline_small():
         construct_c4_free_split(7)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_incidence_graph_is_the_brute_force_incidence_graph(p):
+    # every (point, line) pair tested with the scalar field reference: y = m*x + b
+    f, q = build_affine_plane(p).field, p * p
+    elems = [FieldElement(i % p, i // p) for i in range(q)]  # canonical index c1*p + c0
+    edges = [(xi * q + yi, q * q + mi * q + bi)
+             for xi, x in enumerate(elems) for yi, y in enumerate(elems)
+             for mi, m in enumerate(elems) for bi, b in enumerate(elems)
+             if field_add(f, field_mul(f, m, x), b) == y]
+    expected = Graph(2 * q * q, np.array(edges))
+    assert expected.M == q ** 3
+    assert build_affine_plane(p).incidence_graph(np.ones(2 * q * q, dtype=bool)) == expected
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_masked_incidence_graph_is_the_restricted_split(p):
     # the pipeline's generator against the lax graph restricted afterwards
     full = build_affine_split(p)
     plane = build_affine_plane(p)
-    assert plane.incidence_graph() == full.graph
     blob_of = affine_blob_assignment(p)
     seeded = np.random.default_rng(p).integers(1, p ** 3 + 1, size=3).tolist()
     for n in sorted({1, 2, p, p * p + 1, p ** 3 - 1, p ** 3, *seeded}):

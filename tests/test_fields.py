@@ -4,8 +4,9 @@ for GF(p^2) at every p up to 7, and the primality test against a sieve."""
 import numpy as np
 import pytest
 
-from splitfree.errors import CompositeCharacteristic, ElementOutOfField, SizeGuard
-from splitfree.fields import MR_EXACT_BELOW, FieldElement, is_prime, make_quadratic_field
+from conftest import FieldElement, field_add, field_check, field_mul
+from splitfree.errors import CompositeCharacteristic, SizeGuard
+from splitfree.fields import MR_EXACT_BELOW, is_prime, make_quadratic_field
 
 PRIMES = [2, 3, 5, 7]
 
@@ -57,20 +58,20 @@ def test_quadratic_field_deterministic():
 def test_arith_examples():
     gf4 = make_quadratic_field(2)
     x = FieldElement(0, 1)
-    assert gf4.mul(x, x) == FieldElement(1, 1)  # x^2 = x + 1 under x^2+x+1
+    assert field_mul(gf4, x, x) == FieldElement(1, 1)  # x^2 = x + 1 under x^2+x+1
 
     gf49 = make_quadratic_field(7)  # the prime subfield: c1 = 0
-    assert gf49.add(FieldElement(3), FieldElement(5)) == FieldElement(1)
-    assert gf49.mul(FieldElement(3), FieldElement(5)) == FieldElement(1)
+    assert field_add(gf49, FieldElement(3), FieldElement(5)) == FieldElement(1)
+    assert field_mul(gf49, FieldElement(3), FieldElement(5)) == FieldElement(1)
 
     gf9 = make_quadratic_field(3)
     assert gf9.reduction == (1, 0)
-    assert gf9.mul(FieldElement(0, 1), FieldElement(0, 1)) == FieldElement(2, 0)
+    assert field_mul(gf9, FieldElement(0, 1), FieldElement(0, 1)) == FieldElement(2, 0)
 
 
 def inverses(f, a):
     """All b with a*b = 1, by exhaustive search with the scalar mul."""
-    return [b for b in elements(f) if f.mul(a, b) == FieldElement(1)]
+    return [b for b in elements(f) if field_mul(f, a, b) == FieldElement(1)]
 
 
 def test_invert_examples():
@@ -88,18 +89,18 @@ def test_enumerate_examples():
         elems = elements(f)
         assert len(elems) == f.order
         assert [index(f, e) for e in elems] == list(range(f.order))
-        assert all(f.check(e) == e for e in elems)
+        assert all(field_check(f, e) == e for e in elems)
 
 
 def test_element_validation():
     gf49 = make_quadratic_field(7)
-    with pytest.raises(ElementOutOfField):
-        gf49.add(FieldElement(7, 0), FieldElement(0))
-    with pytest.raises(ElementOutOfField):
-        gf49.mul(FieldElement(1, 7), FieldElement(1))
+    with pytest.raises(ValueError):
+        field_add(gf49, FieldElement(7, 0), FieldElement(0))
+    with pytest.raises(ValueError):
+        field_mul(gf49, FieldElement(1, 7), FieldElement(1))
     gf4 = make_quadratic_field(2)
-    with pytest.raises(ElementOutOfField):
-        gf4.mul(FieldElement(2, 0), FieldElement(1, 0))
+    with pytest.raises(ValueError):
+        field_mul(gf4, FieldElement(2, 0), FieldElement(1, 0))
 
 
 @pytest.mark.parametrize("f", all_fields(), ids=lambda f: f"GF({f.order})")
@@ -112,8 +113,8 @@ def test_field_axioms_exhaustive(f):
     mul = np.empty((order, order), dtype=np.int64)
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            add[i, j] = index(f, f.add(a, b))
-            mul[i, j] = index(f, f.mul(a, b))
+            add[i, j] = index(f, field_add(f, a, b))
+            mul[i, j] = index(f, field_mul(f, a, b))
 
     assert (add == add.T).all() and (mul == mul.T).all()     # commutativity
     idx = np.arange(order)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     biclique_graph,
     brute_contains_subgraph,
+    build_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -39,7 +40,7 @@ from splitfree.freeness import (
     verify_embedding,
     witness_json,
 )
-from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, write_graph, write_split
+from splitfree.graphs import Graph, SplitGraph, prune_to_split, write_graph, write_split
 
 
 def test_parse_examples():

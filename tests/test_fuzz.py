@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, random_graph
+from conftest import build_graph, cycle_graph, random_graph
 from splitfree.cli import run
 from splitfree.constructions import (
     EdgeColoring,
@@ -30,7 +30,7 @@ from splitfree.constructions import (
     round_robin_coloring,
     write_coloring,
 )
-from splitfree.graphs import SplitGraph, build_graph, write_graph, write_split
+from splitfree.graphs import SplitGraph, write_graph, write_split
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     all_pairs,
     brute_split_census,
+    build_graph,
     complete_graph,
     crossed_blob_pairs,
     cycle_graph,
@@ -20,9 +21,7 @@ from conftest import (
 )
 from splitfree import formats, graphs
 from splitfree.errors import (
-    EndpointOutOfRange,
     InvariantViolation,
-    LoopEdge,
     NotALaxSplit,
     ParseError,
     SizeGuard,
@@ -32,7 +31,6 @@ from splitfree.errors import (
 from splitfree.graphs import (
     Graph,
     SplitGraph,
-    build_graph,
     connected_components,
     prune_to_split,
     read_graph,
@@ -46,14 +44,12 @@ from splitfree.graphs import (
 
 
 def test_build_graph_examples():
+    # the test helper collapses repeats, in either orientation, before Graph sees them
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.degrees().tolist() == [2, 2, 2, 2]
     assert build_graph(2, [(0, 1), (0, 1)]).M == 1
     assert build_graph(2, [(1, 0)]).edges.tolist() == [[0, 1]]
-    with pytest.raises(EndpointOutOfRange):
-        build_graph(2, [(0, 2)])
-    with pytest.raises(LoopEdge):
-        build_graph(3, [(1, 1)])
+    assert build_graph(3, [(2, 1), (1, 2), (0, 2)]) == Graph(3, [(0, 2), (1, 2)])
 
 
 def test_common_neighbors_and_has_edge():
@@ -494,8 +490,16 @@ def test_comment_lines_in_every_format(tmp_path):
 
 def test_from_edge_keys_rejects_repeats():
     keys = np.array([6, 1, 6], dtype=np.int64)
-    with pytest.raises(InvariantViolation, match="duplicate edge keys"):
+    with pytest.raises(InvariantViolation, match=r"edge \(1, 2\) is repeated"):
         Graph.from_edge_keys(4, keys.copy())
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(2, 3), (0, 1), (3, 2)], [(1, 2), (2, 1)]])
+def test_graph_rejects_repeated_edges(edges):
+    # one repeat rule for both constructors: an edge given twice, in either
+    # orientation, is refused rather than silently dropped
+    with pytest.raises(InvariantViolation, match="is repeated"):
+        Graph(4, np.array(edges))
 
 
 def test_header_counts_checked_before_allocation(tmp_path):

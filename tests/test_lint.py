@@ -42,3 +42,38 @@ def test_no_module_imports_another_modules_private_names():
              and (node.level or (node.module or "").split(".")[0] == "splitfree")
              and any(alias.name.startswith("_") for alias in node.names)]
     assert not found, found
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name a piece of code reads, an attribute it takes or a name it imports."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in sub.names)
+    return found
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    """A public function or class of the package is used by package code
+    other than its own definition, by scripts/ or by perfbench/; one that
+    only the tests use belongs in the tests.  __init__'s re-export is not a use."""
+    root = PACKAGE.parents[1]
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    outside = set().union(*(_names_used(ast.parse(path.read_text(encoding="utf-8")))
+                            for folder in ("scripts", "perfbench")
+                            for path in sorted((root / folder).glob("*.py"))))
+    unused = []
+    for name, tree in modules.items():
+        used = outside.union(*(_names_used(other) for key, other in modules.items() if key != name))
+        own = [_names_used(stmt) for stmt in tree.body]
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in used.union(*own[:i], *own[i + 1:]):
+                unused.append(f"{name}:{node.name}")
+    assert modules and not unused, unused

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import build_graph, random_graph
 from splitfree import probabilistic
 from splitfree.constructions import build_affine_split
 from splitfree.errors import DegenerateHost, ParameterError, SizeGuard
-from splitfree.graphs import Graph, SplitGraph, build_graph, prune_to_split, verify_split
+from splitfree.graphs import Graph, SplitGraph, prune_to_split, verify_split
 from splitfree.freeness import is_c4_free
 from splitfree.probabilistic import (
     MC_BATCH,
@@ -467,39 +467,26 @@ def test_estimate_peak_memory_is_one_color_batch():
     assert peak < samples * host.V * 4  # below one uint32 color batch
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 20, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32,
-                               2 ** 32 + 1, 3 * 2 ** 61, 2 ** 63 - 1])
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
+                               3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 3 * 2 ** 61,
+                               2 ** 63 - 1])
 def test_accepted_words_decode_to_the_integers_draw(n):
-    # estimate_pair_failure reads a batch's colors off the generator's words;
-    # decoded as (x*n) >> w with Python integers they must be numpy's own
-    # int64 draw.  2**31 + 1, 3 * 2**30 and 3 * 2**61 reject up to half the
-    # words; cuts of odd length end inside a 64-bit output on the 32-bit path
+    # estimate_pair_failure reads a batch's colors off the generator's words,
+    # 32-bit ones for n <= 2**32 (numpy draws int64 values below 2**32 from
+    # 32-bit words), 64-bit ones above; decoded as (x*n) >> w with Python
+    # integers they must be numpy's own int64 draw.  2**31 + 1, 3 * 2**30 and
+    # 3 * 2**61 reject up to half the words.  The words are taken in cuts of
+    # odd length, and in odd row blocks of 65 columns as a batch takes them;
+    # both end inside a 64-bit output on the 32-bit path
     width = 32 if n <= 2 ** 32 else 64
-    cuts = (1, 5, 7, 9, 11, 0, 1967)
-    for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
-        want = probabilistic._trial_rng(seed, batch).integers(0, n, size=sum(cuts))
-        words = probabilistic._AcceptedWords(probabilistic._trial_rng(seed, batch), n)
-        got = np.concatenate([words.take(k) for k in cuts])
-        assert [int(x) * n >> width for x in got] == want.tolist()
-        assert np.array_equal(got <= words.last0, want == 0)
-        assert np.array_equal(got <= words.last1, want <= 1)
-
-
-@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
-                               2 ** 32 + 1, 2 ** 63 - 1])
-def test_uint32_draw_equals_int64_draw(n):
-    # numpy draws int64 values below 2**32 from 32-bit words, as it draws
-    # uint32 ones, which is why _AcceptedWords reads 32-bit words there; the
-    # draw in row blocks gives the values of one whole draw (uint8 and uint16
-    # draws do differ); odd blocks of 65 columns end inside a 64-bit output
-    dtype = np.uint32 if n <= 2 ** 32 else np.int64
-    for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
-        wide = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65))
-        narrow = probabilistic._trial_rng(seed, batch).integers(0, n, size=(33, 65), dtype=dtype)
-        rng = probabilistic._trial_rng(seed, batch)
-        blocks = [rng.integers(0, n, size=(rows, 65), dtype=dtype) for rows in (1, 5, 7, 9, 11)]
-        assert np.array_equal(wide, narrow)
-        assert np.array_equal(wide, np.concatenate(blocks))
+    for cuts in ((1, 5, 7, 9, 11, 0, 1967), tuple(65 * rows for rows in (1, 5, 7, 9, 11))):
+        for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
+            want = probabilistic._trial_rng(seed, batch).integers(0, n, size=sum(cuts))
+            words = probabilistic._AcceptedWords(probabilistic._trial_rng(seed, batch), n)
+            got = np.concatenate([words.take(k) for k in cuts])
+            assert [int(x) * n >> width for x in got] == want.tolist()
+            assert np.array_equal(got <= words.last0, want == 0)
+            assert np.array_equal(got <= words.last1, want <= 1)
 
 
 # h3 has 162 vertices and 351 edges: a row costs 162 * 11 B and an edge of a
