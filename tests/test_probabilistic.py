@@ -467,26 +467,37 @@ def test_estimate_peak_memory_is_one_color_batch():
     assert peak < samples * host.V * 4  # below one uint32 color batch
 
 
-@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1,
-                               3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 3 * 2 ** 61,
-                               2 ** 63 - 1])
-def test_accepted_words_decode_to_the_integers_draw(n):
-    # estimate_pair_failure reads a batch's colors off the generator's words,
-    # 32-bit ones for n <= 2**32 (numpy draws int64 values below 2**32 from
-    # 32-bit words), 64-bit ones above; decoded as (x*n) >> w with Python
-    # integers they must be numpy's own int64 draw.  2**31 + 1, 3 * 2**30 and
-    # 3 * 2**61 reject up to half the words.  The words are taken in cuts of
-    # odd length, and in odd row blocks of 65 columns as a batch takes them;
-    # both end inside a 64-bit output on the 32-bit path
+def _check_accepted_words(n, cuts):
+    # the words _AcceptedWords hands out in the given cuts, decoded as
+    # (x*n) >> w with Python integers, must be numpy's own int64 draw, and
+    # the last0/last1 compares must give its colors 0 and <= 1
     width = 32 if n <= 2 ** 32 else 64
-    for cuts in ((1, 5, 7, 9, 11, 0, 1967), tuple(65 * rows for rows in (1, 5, 7, 9, 11))):
-        for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
-            want = probabilistic._trial_rng(seed, batch).integers(0, n, size=sum(cuts))
-            words = probabilistic._AcceptedWords(probabilistic._trial_rng(seed, batch), n)
-            got = np.concatenate([words.take(k) for k in cuts])
-            assert [int(x) * n >> width for x in got] == want.tolist()
-            assert np.array_equal(got <= words.last0, want == 0)
-            assert np.array_equal(got <= words.last1, want <= 1)
+    for seed, batch in ((0, 0), (1, 3), (13, 7), (2 ** 40, 1)):
+        want = probabilistic._trial_rng(seed, batch).integers(0, n, size=sum(cuts))
+        words = probabilistic._AcceptedWords(probabilistic._trial_rng(seed, batch), n)
+        got = np.concatenate([words.take(k) for k in cuts])
+        assert [int(x) * n >> width for x in got] == want.tolist()
+        assert np.array_equal(got <= words.last0, want == 0)
+        assert np.array_equal(got <= words.last1, want <= 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 2 ** 31 + 1, 3 * 2 ** 30, 2 ** 32 - 1, 2 ** 32,
+                               2 ** 32 + 1, 3 * 2 ** 61, 2 ** 63 - 1])
+def test_accepted_words_decode_to_the_integers_draw(n):
+    # estimate_pair_failure reads a batch's colors off the generator's words;
+    # 2**31 + 1, 3 * 2**30 and 3 * 2**61 reject up to half the words; cuts of
+    # odd length end inside a 64-bit output on the 32-bit path
+    _check_accepted_words(n, (1, 5, 7, 9, 11, 0, 1967))
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 60, 1000, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32,
+                               2 ** 32 + 1, 2 ** 63 - 1])
+def test_uint32_draw_equals_int64_draw(n):
+    # for n <= 2**32 estimate reads uint32 words, because numpy draws int64
+    # values below 2**32 from 32-bit words; above, it reads 64-bit ones.  A
+    # batch takes its words in row blocks, here odd blocks of 65 columns, which
+    # end inside a 64-bit output on the 32-bit path
+    _check_accepted_words(n, tuple(65 * rows for rows in (1, 5, 7, 9, 11)))
 
 
 # h3 has 162 vertices and 351 edges: a row costs 162 * 11 B and an edge of a
