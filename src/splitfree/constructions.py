@@ -2,8 +2,9 @@
 
 * affine-plane incidence split: a lax (p^3, 2p)-split whose graph is C4-free,
   built from points and lines of the affine plane over GF(p^2);
-* the C4-free pipeline: prime selection from the target blob count, affine
-  split, blob restriction, pruning to strict form;
+* the C4-free pipeline: prime selection from the target blob count, then
+  the affine split restricted to n blobs and pruned to strict form, read
+  off the plane in closed form without building either;
 * the bipartite 2-split (avoids every non-bipartite graph);
 * splits assembled from an edge coloring of K_n (one vertex copy per color);
 * star-free splits from equitably grouped round-robin rounds.
@@ -28,7 +29,7 @@ from . import formats
 from .errors import ColoringIncomplete, CompositeCharacteristic, ParameterError, SizeGuard
 from .fields import Field, is_prime, make_quadratic_field
 from .freeness import check_forbidden, parse_forbidden_spec, witness_json
-from .graphs import Graph, SplitGraph, prune_to_split, two_coloring, verify_split
+from .graphs import Graph, SplitGraph, two_coloring, verify_split
 
 MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 edges
 MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
@@ -64,33 +65,20 @@ class AffinePlane:
     def q(self) -> int:
         return self.field.order
 
-    def incidence_graph(self, keep: np.ndarray) -> Graph:
-        """The bipartite point-line incidence graph (2*q^2 vertices, q^3 edges)
-        on the vertices of the mask `keep`, numbered cumsum(keep) - 1: the
-        kept points and lines and the incidences between them."""
+    def incidence_graph(self) -> Graph:
+        """The bipartite point-line incidence graph: 2*q^2 vertices and q^3
+        edges, one per point and slope."""
         p, q = self.field.p, self.q
-        vcount = int(np.count_nonzero(keep))
-        new_id = np.cumsum(keep) - 1
-        # only the x values and slopes that carry a kept point or line
-        xs, slopes = (np.flatnonzero(row) for row in keep.reshape(2, q, q).any(axis=2))
-        xi = np.tile(xs, q)
-        bi = np.repeat(np.arange(q, dtype=np.int64), len(xs))
-        x0, x1 = xi % p, xi // p
-        b0, b1 = bi % p, bi // p
-        # encoded edge keys point*V + line, filled slope by slope; a point is
-        # on one line of each slope, so q keys per kept point suffice
-        points = int(np.count_nonzero(keep[:q * q]))
-        keys = np.empty(q * points, dtype=np.int64)
-        filled = 0
-        for mi in slopes.tolist():
+        xi = np.tile(np.arange(q, dtype=np.int64), q)
+        bi = np.repeat(np.arange(q, dtype=np.int64), q)
+        (x1, x0), (b1, b0) = np.divmod(xi, p), np.divmod(bi, p)
+        # encoded edge keys point*V + line, one row of q^2 lines per slope
+        keys = np.empty((q, q * q), dtype=np.int64)
+        for mi in range(q):
             mx0, mx1 = self.field.mul_arrays(mi % p, mi // p, x0, x1)
             y0, y1 = self.field.add_arrays(mx0, mx1, b0, b1)
-            point, line = xi * q + (y1 * p + y0), q * q + mi * q + bi
-            on = keep[point] & keep[line]
-            point, line = new_id[point[on]], new_id[line[on]]
-            keys[filled:filled + len(point)] = point * vcount + line
-            filled += len(point)
-        return Graph.from_edge_keys(vcount, keys[:filled])
+            keys[mi] = (xi * q + (y1 * p + y0)) * (2 * q * q) + (q * q + mi * q + bi)
+        return Graph.from_edge_keys(2 * q * q, keys.ravel())
 
 
 def build_affine_plane(p: int, max_p: int | None = None) -> AffinePlane:
@@ -125,8 +113,7 @@ def build_affine_split(p: int, max_p: int | None = None) -> SplitGraph:
     """Lax (p^3, 2p)-split of the affine incidence graph; C4-free by the
     unique-intersection property of distinct lines."""
     plane = build_affine_plane(p, max_p)
-    graph = plane.incidence_graph(np.ones(2 * p ** 4, dtype=bool))
-    return SplitGraph(graph, affine_blob_assignment(p), p ** 3, 2 * p)
+    return SplitGraph(plane.incidence_graph(), affine_blob_assignment(p), p ** 3, 2 * p)
 
 
 def _ceil_root(value: int, exponent: int) -> int:
@@ -149,8 +136,14 @@ def pipeline_parameters(n: int) -> tuple[int, int, int]:
 
 
 def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
-    """Strict C4-free (n, 2p)-split: the affine split generated only on blobs
-    0..n-1 (restrict_blobs's numbering), then pruned."""
+    """Strict C4-free (n, 2p)-split read off the affine plane: blobs 0..n-1
+    of the affine split (restrict_blobs's numbering) and, for each pair of
+    them, the smaller of its two crossing incidences (prune_to_split's choice).
+
+    Point blob (X, h) and line blob (M, a), the divmod of a blob id by p, share
+    exactly one incidence: with w = M*X, the point (X, y = (h, w.c1 + a)) and
+    the line (M, b = (h - w.c0, a)).
+    """
     if n < 8:
         raise ParameterError(f"pipeline needs n >= 8, got {n}")
     _, _, p = pipeline_parameters(n)  # p^3 >= n: p >= k0, k0^2 >= N and N^3 >= n^2
@@ -159,10 +152,22 @@ def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
         raise SizeGuard(
             f"pipeline for n={n} needs p={p} > {limit}; the affine graph would "
             f"have {2 * p ** 4} vertices and the strict split {n * (n - 1) // 2} edges")
+    field, q = make_quadratic_field(p), p * p
     blob_of = affine_blob_assignment(p)
     keep = blob_of < n
-    graph = build_affine_plane(p, max_p).incidence_graph(keep)
-    return prune_to_split(SplitGraph(graph, blob_of[keep], n, 2 * p))
+    new_id = np.cumsum(keep) - 1
+    vcount = int(new_id[-1]) + 1
+
+    def incidence(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # s = X*p + h and t = M*p + a, with field indices X = X.c1*p + X.c0 and M alike
+        w0, w1 = field.mul_arrays(t // p % p, t // q, s // p % p, s // q)
+        point = s // p * q + (w1 + t % p) % p * p + s % p
+        line = q * q + t // p * q + t % p * p + (s % p - w0) % p
+        return new_id[point] * vcount + new_id[line]
+
+    i, j = np.triu_indices(n, k=1)
+    keys = np.minimum(incidence(i, j), incidence(j, i))
+    return SplitGraph(Graph.from_edge_keys(vcount, keys), blob_of[keep], n, 2 * p)
 
 
 def _check_pairs(n: int, what: str) -> None:

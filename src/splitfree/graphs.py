@@ -211,22 +211,16 @@ def prune_to_split(s: SplitGraph) -> SplitGraph:
     """Normalize a lax split to strict form.
 
     Deletes intra-blob edges and keeps, for every blob pair, exactly the
-    lexicographically smallest crossing edge.  The result is a subgraph of
-    the input on the same vertices and blobs, so any freeness property of
-    the input is preserved.
+    lexicographically smallest crossing edge: its first, as edges are held
+    in canonical order.  The result is a subgraph of the input on the same
+    vertices and blobs, so any freeness property of the input is preserved.
     """
     keys, cross = _cross_pair_keys(s)
-    ec = s.graph.edges[cross]
-    order = np.lexsort((ec[:, 1], ec[:, 0], keys))
-    keys = keys[order]
-    ec = ec[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    total_pairs = s.n * (s.n - 1) // 2
-    if int(first.sum()) != total_pairs:
-        pair = next(_missing_pairs(keys[first], s.n))
+    present, first = np.unique(keys, return_index=True)
+    if len(present) != s.n * (s.n - 1) // 2:
+        pair = next(_missing_pairs(present, s.n))
         raise NotALaxSplit(f"blob pair {pair} has no crossing edge")
-    return SplitGraph(Graph(s.graph.V, ec[first]), s.blob_of, s.n, s.k)
+    return SplitGraph(Graph(s.graph.V, s.graph.edges[cross][np.sort(first)]), s.blob_of, s.n, s.k)
 
 
 def restrict_blobs(s: SplitGraph, n_target: int) -> SplitGraph:

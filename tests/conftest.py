@@ -7,14 +7,40 @@ expectations are computed on an independent route.
 
 from __future__ import annotations
 
+import faulthandler
 import itertools
+import os
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from splitfree.errors import NotALaxSplit
 from splitfree.fields import Field
-from splitfree.graphs import Graph, SplitGraph
+from splitfree.graphs import Graph, SplitGraph, _cross_pair_keys, _missing_pairs
+
+HANG_LIMIT_S = 600  # a test still running after this long has hung: dump every thread and exit
+TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # output capture is off while plugins configure, so fd 2 is still the terminal's
+    config.stash[TERMINAL_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[TERMINAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def fail_a_hang(pytestconfig):
+    """Ends the whole run with every thread's traceback when a test hangs,
+    instead of stalling it; pytest-timeout is not a dependency."""
+    faulthandler.dump_traceback_later(
+        HANG_LIMIT_S, exit=True, file=pytestconfig.stash[TERMINAL_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def build_graph(vertex_count: int, edges) -> Graph:
@@ -70,6 +96,22 @@ def biclique_graph(s: int, t: int) -> Graph:
 @pytest.fixture
 def c6() -> Graph:
     return cycle_graph(6)
+
+
+def lexsort_prune(s: SplitGraph) -> SplitGraph:
+    """The sort-based prune: crossing edges lexsorted by (blob pair, u, v), the
+    first of each pair kept, then sorted again by Graph."""
+    keys, cross = _cross_pair_keys(s)
+    ec = s.graph.edges[cross]
+    order = np.lexsort((ec[:, 1], ec[:, 0], keys))
+    keys = keys[order]
+    ec = ec[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    if int(first.sum()) != s.n * (s.n - 1) // 2:
+        pair = next(_missing_pairs(keys[first], s.n))
+        raise NotALaxSplit(f"blob pair {pair} has no crossing edge")
+    return SplitGraph(Graph(s.graph.V, ec[first]), s.blob_of, s.n, s.k)
 
 
 def brute_split_census(split: SplitGraph) -> dict:

@@ -1,6 +1,7 @@
 """Constructions: prime search, affine plane and its split, the C4-free
 pipeline, bipartite and star splits, coloring-based splits, round robins."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from conftest import FieldElement, all_pairs, complete_graph, crossed_blob_pairs
 from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
-    affine_blob_assignment,
     build_affine_plane,
     build_affine_split,
     build_bipartite_split,
@@ -57,7 +57,7 @@ def test_next_prime_examples():
 def test_affine_plane_invariants(p):
     plane = build_affine_plane(p)
     f, q = plane.field, p * p
-    g = plane.incidence_graph(np.ones(2 * p ** 4, dtype=bool))
+    g = plane.incidence_graph()
     assert g.V == 2 * q * q and g.M == q ** 3
     deg = g.degrees()
     assert (deg == q).all()  # every point on q lines, every line has q points
@@ -177,32 +177,23 @@ def test_incidence_graph_is_the_brute_force_incidence_graph(p):
              if field_add(f, field_mul(f, m, x), b) == y]
     expected = Graph(2 * q * q, np.array(edges))
     assert expected.M == q ** 3
-    assert build_affine_plane(p).incidence_graph(np.ones(2 * q * q, dtype=bool)) == expected
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_masked_incidence_graph_is_the_restricted_split(p):
-    # the pipeline's generator against the lax graph restricted afterwards
-    full = build_affine_split(p)
-    plane = build_affine_plane(p)
-    blob_of = affine_blob_assignment(p)
-    seeded = np.random.default_rng(p).integers(1, p ** 3 + 1, size=3).tolist()
-    for n in sorted({1, 2, p, p * p + 1, p ** 3 - 1, p ** 3, *seeded}):
-        keep = blob_of < n
-        restricted = restrict_blobs(full, n)
-        assert plane.incidence_graph(keep) == restricted.graph, n
-        assert np.array_equal(blob_of[keep], restricted.blob_of), n
+    assert build_affine_plane(p).incidence_graph() == expected
 
 
 def test_pipeline_is_the_pruned_restriction():
-    for n in (8, 9, 27, 100, 343, 500):
+    # the closed form against the lax affine split, restricted and then pruned:
+    # n = p^3 takes every blob of the plane over GF(p^2), p^3 + 1 needs the next prime's
+    seeded = np.random.default_rng(23).integers(8, 1001, size=3).tolist()
+    cubes = [n for p in (2, 3, 5, 7) for n in (p ** 3, p ** 3 + 1)]
+    affine = functools.cache(build_affine_split)
+    for n in sorted({*cubes, 100, 500, *seeded}):
         p = pipeline_parameters(n)[2]
-        assert construct_c4_free_split(n) == \
-            prune_to_split(restrict_blobs(build_affine_split(p), n)), n
+        assert construct_c4_free_split(n) == prune_to_split(restrict_blobs(affine(p), n)), n
 
 
 def test_pipeline_peak_memory_is_below_the_lax_graph():
-    # p = 11: the p^6 lax incidences alone would take 16 B each as an edge array
+    # p = 11: the p^6 lax incidences alone would take 16 B each as an edge array;
+    # the closed form stays under 112 B per blob pair of the strict split
     tracemalloc.start()
     try:
         split = construct_c4_free_split(500)
@@ -210,7 +201,7 @@ def test_pipeline_peak_memory_is_below_the_lax_graph():
     finally:
         tracemalloc.stop()
     assert split.k == 22
-    assert peak < 11 ** 6 * 16
+    assert peak < 112 * (500 * 499 // 2)
 
 
 def test_pipeline_blob_size_vs_target():

@@ -19,7 +19,7 @@ from conftest import (
     random_graph,
     seeded_corpus,
 )
-from splitfree import freeness
+from splitfree import formats, freeness
 from splitfree.cli import run
 from splitfree.constructions import build_affine_split, construct_c4_free_split
 from splitfree.errors import (
@@ -40,7 +40,14 @@ from splitfree.freeness import (
     verify_embedding,
     witness_json,
 )
-from splitfree.graphs import Graph, SplitGraph, prune_to_split, write_graph, write_split
+from splitfree.graphs import (
+    Graph,
+    SplitGraph,
+    prune_to_split,
+    read_graph,
+    write_graph,
+    write_split,
+)
 
 
 def test_parse_examples():
@@ -261,6 +268,31 @@ def test_wedge_blocks_match_oracles(block, monkeypatch):
             oracle_hit = contains_subgraph(g, parse_forbidden_spec(spec)) is not None
             fast = is_c4_free(g) if spec == "C4" else is_kst_free(g, *stt)
             assert (fast is not None) == oracle_hit, f"{spec} disagrees"
+
+
+def test_wedge_block_of_exactly_t_wedges(monkeypatch):
+    """One low endpoint per block: vertex 0's block of K2,3 holds exactly t = 3
+    wedges, all to vertex 1, and they are the K2,3 itself."""
+    monkeypatch.setattr(freeness, "WEDGE_BLOCK", 1)
+    w = is_kst_free(biclique_graph(2, 3), 2, 3)
+    assert w is not None and (w.left, w.right) == ((0, 1), (2, 3, 4))
+
+
+def test_each_guard_admits_exactly_its_cap(tmp_path, monkeypatch):
+    cap = freeness.ORACLE_PATTERN_CAP
+    assert contains_subgraph(cycle_graph(cap), parse_forbidden_spec(f"C{cap}")) is not None
+    # a host of KST_ENUM_CAP vertices, a K3,3 and isolated vertices, is enumerated
+    k33 = biclique_graph(3, 3)
+    assert is_kst_free(Graph(freeness.KST_ENUM_CAP, k33.edges), 3, 3) is not None
+    path = tmp_path / "wide.g"
+    path.write_text(f"graph 1\nv {formats.MAX_FILE_VERTICES} e 0\n")
+    assert read_graph(path).V == formats.MAX_FILE_VERTICES
+    # a spec at the file guard is built, whether its vertices or its edges reach it
+    monkeypatch.setattr(freeness, "MAX_FILE_VERTICES", 10)
+    assert parse_forbidden_spec("C10").graph.V == parse_forbidden_spec("K2,5").graph.M == 10
+    for spec in ("C11", "K2,6"):
+        with pytest.raises(SizeGuard):
+            parse_forbidden_spec(spec)
 
 
 def test_wedge_scan_memory_is_bounded_by_the_block():

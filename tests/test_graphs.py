@@ -17,6 +17,7 @@ from conftest import (
     complete_graph,
     crossed_blob_pairs,
     cycle_graph,
+    lexsort_prune,
     seeded_corpus,
 )
 from splitfree import formats, graphs
@@ -146,6 +147,38 @@ def test_missing_pairs_match_census(n, p, seed):
             prune_to_split(s)
 
 
+def seeded_lax_split(seed: int) -> SplitGraph:
+    """A lax split of 3 to 12 blobs of 1 to 3 vertices: one edge for each blob
+    pair, then about a third of all vertex pairs, inside blobs and across them."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    blob_of = rng.permutation(np.repeat(np.arange(n), rng.integers(1, 4, n)))
+    members = [np.flatnonzero(blob_of == b) for b in range(n)]
+    edges = [(rng.choice(members[i]), rng.choice(members[j])) for i, j in zip(*np.triu_indices(n, k=1))]
+    iu, iv = np.triu_indices(len(blob_of), k=1)
+    extra = rng.random(len(iu)) < 0.3
+    edges += zip(iu[extra], iv[extra])
+    return SplitGraph(build_graph(len(blob_of), edges), blob_of, n, 3)
+
+
+def test_prune_is_the_lexsort_prune():
+    """First occurrence against the sort-based reference, on lax splits with
+    repeated pairs and intra-blob edges, and on splits missing two pairs."""
+    splits = [seeded_lax_split(seed) for seed in range(40)]
+    reports = [verify_split(s, "lax") for s in splits]
+    assert all(r.passed and r.multi_pairs for r in reports)
+    assert sum(r.internal_edges > 0 for r in reports) >= 30
+    for s in splits:
+        assert prune_to_split(s) == lexsort_prune(s)
+        e = s.graph.edges
+        pair = np.sort(s.blob_of[e], axis=1)
+        cut = (pair == [1, 2]).all(axis=1) | (pair == [0, s.n - 1]).all(axis=1)
+        gaps = SplitGraph(Graph(s.graph.V, e[~cut]), s.blob_of, s.n, s.k)
+        for prune in (prune_to_split, lexsort_prune):
+            with pytest.raises(NotALaxSplit, match=re.escape(f"blob pair (0, {s.n - 1}) has")):
+                prune(gaps)
+
+
 def test_verify_refuses_too_many_missing_pairs(monkeypatch):
     # counted as all pairs minus the present ones, before any pair is listed
     edgeless = SplitGraph(Graph(5, np.empty((0, 2), np.int64)), np.arange(5), 5, 1)
@@ -189,6 +222,12 @@ def test_splitgraph_invariants():
         SplitGraph(g, np.array([0, 0, 2, 2]), 3, 2)   # blob 1 empty
     with pytest.raises(InvariantViolation):
         SplitGraph(g, np.array([0, 0, 0, 1]), 2, 2)   # blob 0 too big
+
+
+def test_splitgraph_refuses_a_blob_id_equal_to_n():
+    # blobs 0 and 1 are full and within k, so only the range check can refuse blob 2
+    with pytest.raises(InvariantViolation, match=re.escape("blob id outside [0, n)")):
+        SplitGraph(Graph(3, np.empty((0, 2), np.int64)), np.array([0, 1, 2]), 2, 1)
 
 
 def test_split_io_round_trip(tmp_path):
