@@ -10,9 +10,11 @@ checkout, alternately: the parent first in odd pairs (1, 3, ...), the change
 first in even ones.  After each run it reads the checkout's
 perfbench/results/W-seedS-trace0.json.  It prints, per side, the median and
 quartiles of every end-to-end metric (all lower-is-better), in how many
-pairs the change ran lower, the pass count of each run, and per invocation
-the median and max latency and the peak RSS over all passes.  The same table
-goes to --out as JSON.  It edits nothing under perfbench/.
+pairs the change ran lower, the pass count of each run, the median
+peak_rss_mb of the runs at each pass count (a run that fits more passes
+into its time can peak higher), and per invocation the median and max
+latency and the peak RSS over all passes.  The same table goes to --out
+as JSON.  It edits nothing under perfbench/.
 """
 
 import argparse
@@ -46,10 +48,15 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     for side in SIDES:
         records = runs[side]
         passes = [p for r in records for p in r["passes"]]
+        peaks: dict[int, list[float]] = {}
+        for r in records:
+            peaks.setdefault(len(r["passes"]), []).append(
+                r["result"]["metrics"]["peak_rss_mb"]["value"])
         table[side] = {
             "metrics": {name: quartiles([r["result"]["metrics"][name]["value"] for r in records])
                         for name in records[0]["result"]["metrics"]},
             "passes": [len(r["passes"]) for r in records],
+            "peak_by_passes": {count: statistics.median(peaks[count]) for count in sorted(peaks)},
             "invocations": {
                 label: {"median_s": statistics.median(p["latency_s"][label] for p in passes),
                         "max_s": max(p["latency_s"][label] for p in passes),
@@ -68,6 +75,9 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
 def print_table(table: dict) -> None:
     print(f"{table['pairs']} pairs; passes parent {table['parent']['passes']} "
           f"change {table['change']['passes']}")
+    print("peak_rss_mb median by pass count: " + "; ".join(
+        f"{side} " + ", ".join(f"{count}: {mb:.1f}" for count, mb in
+                               table[side]["peak_by_passes"].items()) for side in SIDES))
     print(f"{'metric':<14}{'parent median [q1, q3]':>30}{'change median [q1, q3]':>30}  lower")
     for name, lower in table["change_lower"].items():
         cells = [f"{m['median']:.4g} [{m['q1']:.4g}, {m['q3']:.4g}]"

@@ -55,7 +55,7 @@ def _cmd_construct(args) -> dict:
     # parsed before the build, so a bad spec leaves no file behind
     pattern = None if args.no_verify else (
         parse_forbidden_spec(args.forbidden) if args.forbidden else row.certificate_for(params))
-    split = row.build(*params.values(), *([args.max_p] if row.max_p else []))
+    split = row.build(*params.values())
     if args.output:
         write_split(split, args.output)
     report, fr, passed = (None, None, True) if args.no_verify else check_split(
@@ -193,7 +193,6 @@ _FLAGS = {
     "c-upper": {"type": float, "default": 1.0},
     "ex": {"type": int},
     "q": {"type": int, "help": "override the q formula"},
-    "max-p": {"type": int},
     "no-verify": {"action": "store_true"},
     "certify": {"action": "store_true"},
     "ramsey": {"action": "store_true"},
@@ -202,7 +201,7 @@ _FLAGS = {
 }
 
 # subcommand -> (handler returning its own JSON fields, flags); each construct
-# kind adds its CONSTRUCTIONS parameters (and --max-p) before the flags here
+# kind adds its CONSTRUCTIONS parameters before the flags here
 _SUBCOMMANDS = {
     "construct": (_cmd_construct, "no-verify forbidden seed output"),
     "random-split": (_cmd_random_split, "input! n! k-cap trials forbidden seed output"),
@@ -236,7 +235,7 @@ def build_parser() -> _Parser:
             p = csub.add_parser(kind)
             for param, type_ in row.params.items():
                 p.add_argument(f"--{param}", type=type_, required=True)
-            _add_flags(p, ("max-p " if row.max_p else "") + flags)
+            _add_flags(p, flags)
     return parser
 
 

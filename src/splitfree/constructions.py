@@ -31,7 +31,7 @@ from .fields import Field, is_prime, make_quadratic_field
 from .freeness import check_forbidden, parse_forbidden_spec, witness_json
 from .graphs import Graph, SplitGraph, two_coloring, verify_split
 
-MAX_AFFINE_P = 31  # default guard: the incidence graph has 2*p^4 vertices, p^6 edges
+MAX_AFFINE_P = 31  # guard: the incidence graph has 2*p^4 vertices, p^6 edges
 MAX_SPLIT_PAIRS = 1 << 23  # guard on n(n-1)/2 for the bipartite and star splits: n <= 4096
 
 
@@ -81,14 +81,13 @@ class AffinePlane:
         return Graph.from_edge_keys(2 * q * q, keys.ravel())
 
 
-def build_affine_plane(p: int, max_p: int | None = None) -> AffinePlane:
+def build_affine_plane(p: int) -> AffinePlane:
     if not is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
-    limit = MAX_AFFINE_P if max_p is None else max_p
-    if p > limit:
+    if p > MAX_AFFINE_P:
         raise SizeGuard(
             f"affine plane for p={p} has {2 * p ** 4} vertices and {p ** 6} "
-            f"incidences; guard is p <= {limit}")
+            f"incidences; guard is p <= {MAX_AFFINE_P}")
     return AffinePlane(make_quadratic_field(p))
 
 
@@ -109,10 +108,10 @@ def affine_blob_assignment(p: int) -> np.ndarray:
     return np.concatenate((point_blob, line_blob))
 
 
-def build_affine_split(p: int, max_p: int | None = None) -> SplitGraph:
+def build_affine_split(p: int) -> SplitGraph:
     """Lax (p^3, 2p)-split of the affine incidence graph; C4-free by the
     unique-intersection property of distinct lines."""
-    plane = build_affine_plane(p, max_p)
+    plane = build_affine_plane(p)
     return SplitGraph(plane.incidence_graph(), affine_blob_assignment(p), p ** 3, 2 * p)
 
 
@@ -135,7 +134,7 @@ def pipeline_parameters(n: int) -> tuple[int, int, int]:
     return big_n, k0, next_prime(max(k0, 2))
 
 
-def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
+def construct_c4_free_split(n: int) -> SplitGraph:
     """Strict C4-free (n, 2p)-split read off the affine plane: blobs 0..n-1
     of the affine split (restrict_blobs's numbering) and, for each pair of
     them, the smaller of its two crossing incidences (prune_to_split's choice).
@@ -147,10 +146,9 @@ def construct_c4_free_split(n: int, max_p: int | None = None) -> SplitGraph:
     if n < 8:
         raise ParameterError(f"pipeline needs n >= 8, got {n}")
     _, _, p = pipeline_parameters(n)  # p^3 >= n: p >= k0, k0^2 >= N and N^3 >= n^2
-    limit = MAX_AFFINE_P if max_p is None else max_p
-    if p > limit:
+    if p > MAX_AFFINE_P:
         raise SizeGuard(
-            f"pipeline for n={n} needs p={p} > {limit}; the affine graph would "
+            f"pipeline for n={n} needs p={p} > {MAX_AFFINE_P}; the affine graph would "
             f"have {2 * p ** 4} vertices and the strict split {n * (n - 1) // 2} edges")
     field, q = make_quadratic_field(p), p * p
     blob_of = affine_blob_assignment(p)
@@ -198,7 +196,7 @@ def build_bipartite_split(n: int) -> SplitGraph:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """A k-coloring of (a subset of) the edges of K_n, pairs keyed (i, j), i<j."""
+    """A k-coloring of every edge of K_n, pairs keyed (i, j), i<j."""
 
     n: int
     colors: int
@@ -212,21 +210,19 @@ class EdgeColoring:
                 raise ParameterError(f"invalid pair ({i}, {j}) for n={self.n}")
             if not 0 <= c < self.colors:
                 raise ParameterError(f"color {c} outside [0, {self.colors})")
-
-    def missing_pair(self) -> tuple[int, int] | None:
-        return next((p for p in combinations(range(self.n), 2) if p not in self.color_of), None)
+        # the keys are distinct valid pairs, so only a short count can miss one
+        if len(self.color_of) < self.n * (self.n - 1) // 2:
+            missing = next(p for p in combinations(range(self.n), 2) if p not in self.color_of)
+            raise ColoringIncomplete(f"pair {missing} has no color")
 
 
 def build_split_from_coloring(c: EdgeColoring) -> SplitGraph:
-    """Strict (n, k)-split from a complete k-edge-coloring of K_n.
+    """Strict (n, k)-split from a k-edge-coloring of K_n.
 
     Blob i holds k copies of vertex i (ids i*k .. i*k+k-1, one per color);
     the pair {i, j} of color l is joined by the edge between the l-th copies.
     The graph is a vertex-disjoint union of one copy of each color class.
     """
-    missing = c.missing_pair()
-    if missing is not None:
-        raise ColoringIncomplete(f"pair {missing} has no color")
     k = c.colors
     items = sorted(c.color_of.items())
     edges = np.array(
@@ -279,8 +275,6 @@ def build_star_free_split(n: int, t: int) -> SplitGraph:
 
 
 def write_coloring(c: EdgeColoring, path) -> None:
-    if (missing := c.missing_pair()) is not None:
-        raise ColoringIncomplete(f"pair {missing} has no color; format requires all pairs")
     formats.write(path, "coloring", (c.n, c.colors),
                   map(c.color_of.__getitem__, combinations(range(c.n), 2)))
 
@@ -303,7 +297,6 @@ class Construction(NamedTuple):
     build: Callable[..., SplitGraph]
     mode: str              # verify_split mode
     certificate: object    # pattern spec formatted with the parameters, TWO_COLORED, or None
-    max_p: bool = False    # the builder also takes the affine guard max_p
 
     def certificate_for(self, params: dict):
         """The certificate for these parameters: a spec is formatted and
@@ -313,8 +306,8 @@ class Construction(NamedTuple):
 
 
 CONSTRUCTIONS = {
-    "affine": Construction({"p": int}, build_affine_split, "lax", "C4", max_p=True),
-    "c4pipeline": Construction({"n": int}, construct_c4_free_split, "strict", "C4", max_p=True),
+    "affine": Construction({"p": int}, build_affine_split, "lax", "C4"),
+    "c4pipeline": Construction({"n": int}, construct_c4_free_split, "strict", "C4"),
     "bipartite": Construction({"n": int}, build_bipartite_split, "strict", TWO_COLORED),
     "star": Construction({"n": int, "t": int}, build_star_free_split, "strict", "S{t}"),
     "from-coloring": Construction({"input": str}, lambda path: build_split_from_coloring(

@@ -62,11 +62,7 @@ class Graph:
         self._indptr = self._indices = None
 
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.V, dtype=np.int64)
-        if self.M:
-            d += np.bincount(self.edges[:, 0], minlength=self.V)
-            d += np.bincount(self.edges[:, 1], minlength=self.V)
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.V)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices): the sorted neighbors of v are indices[indptr[v]:indptr[v+1]]."""
@@ -233,10 +229,8 @@ def restrict_blobs(s: SplitGraph, n_target: int) -> SplitGraph:
     keep = s.blob_of < n_target
     new_id = np.cumsum(keep) - 1
     e = s.graph.edges
-    ek = e[keep[e[:, 0]] & keep[e[:, 1]]] if len(e) else e
-    return SplitGraph(
-        Graph(int(keep.sum()), new_id[ek] if len(ek) else ek),
-        s.blob_of[keep], n_target, s.k)
+    return SplitGraph(Graph(int(keep.sum()), new_id[e[keep[e[:, 0]] & keep[e[:, 1]]]]),
+                      s.blob_of[keep], n_target, s.k)
 
 
 def _search(g: Graph) -> tuple[np.ndarray, np.ndarray, bool]:

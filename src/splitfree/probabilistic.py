@@ -350,7 +350,7 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
             raise ParameterError(f"the q formula overflows at b={b}, cp={cp}, ex={ex}") from None
 
     deg = g.degrees()
-    by_degree = np.lexsort((np.arange(ell), -deg))  # ties to lower ids
+    by_degree = np.argsort(-deg, kind="stable")  # ties to lower ids
     a1_size = -(-ell // q)
     a1 = by_degree[:a1_size]
     a1_degree_sum = int(deg[a1].sum())

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,32 @@ def test_trim_removed_flags_exit_2(capsys):
     for flag, value in (("--a", "1.2"), ("--c-lower", "2")):
         assert run(["trim", "--input", "x.g", "--b", "1.5", flag, value]) == 2
     assert capsys.readouterr().err.count("unrecognized arguments: --") == 2
+
+
+def test_construct_max_p_flag_exit_2(capsys):
+    # the affine guard is a constant, like every other size guard
+    assert run(["construct", "affine", "--p", "2", "--max-p", "7"]) == 2
+    assert run(["construct", "c4pipeline", "--n", "8", "--max-p", "7"]) == 2
+    assert capsys.readouterr().err.count("unrecognized arguments: --max-p 7") == 2
+
+
+def test_pipeline_guard_boundary_exits_before_allocating(capsys):
+    # n = 29792 is the least n whose pipeline prime, 37, is over the guard;
+    # construct and bounds --certify refuse it alike, before building anything
+    messages = []
+    for argv in (["construct", "c4pipeline", "--n", "29792", "--no-verify"],
+                 ["bounds", "--forbidden", "C4", "--n", "29792", "--certify"]):
+        tracemalloc.start()
+        try:
+            code, result = invoke(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and result["error"]["type"] == "SizeGuard"
+        assert "needs p=37 > 31" in result["error"]["message"]
+        assert peak < 1 << 20
+        messages.append(result["error"]["message"])
+    assert messages[0] == messages[1]
 
 
 def test_bounds_cli(capsys):

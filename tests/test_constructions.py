@@ -81,7 +81,7 @@ def test_affine_plane_guards():
         build_affine_plane(4)
     with pytest.raises(SizeGuard, match="guard is p <= 31"):
         build_affine_plane(37)
-    build_affine_plane(37, max_p=37)  # guard is overridable
+    assert build_affine_plane(31).q == 961  # the largest admitted p builds only the field
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -213,7 +213,15 @@ def test_pipeline_blob_size_vs_target():
 
 def test_pipeline_size_guard():
     with pytest.raises(SizeGuard):
-        construct_c4_free_split(10 ** 5)  # needs p=47 > default guard
+        construct_c4_free_split(10 ** 5)  # needs p=47 > the guard
+
+
+def test_pipeline_guard_boundary(monkeypatch):
+    # the pipeline prime is 7 at n = 343 = 7^3 and 11 at n = 344
+    monkeypatch.setattr(constructions, "MAX_AFFINE_P", 7)
+    assert construct_c4_free_split(343).k == 14
+    with pytest.raises(SizeGuard, match="needs p=11 > 7"):
+        construct_c4_free_split(344)
 
 
 def test_bipartite_split_examples():
@@ -285,8 +293,11 @@ def test_split_from_coloring_copies_color_classes():
 
 
 def test_split_from_coloring_incomplete():
-    with pytest.raises(ColoringIncomplete):
-        build_split_from_coloring(EdgeColoring(3, 2, {(0, 1): 0, (0, 2): 1}))
+    # a coloring is refused when it is made, naming its first uncolored pair
+    with pytest.raises(ColoringIncomplete, match=r"^pair \(1, 2\) has no color$"):
+        EdgeColoring(3, 2, {(0, 1): 0, (0, 2): 1})
+    with pytest.raises(ColoringIncomplete, match=r"^pair \(3, 4\) has no color$"):
+        EdgeColoring(5, 2, {pair: 0 for pair in all_pairs(5) - {(3, 4)}})
 
 
 def test_coloring_io_round_trip(tmp_path):

@@ -102,9 +102,8 @@ HOST = st.sampled_from(["{sg}", "{lax}", "{g}", "{hub}"] * 3 + ["{ec}", "{missin
 SPLIT = st.sampled_from(["{sg}", "{lax}"] * 3 + ["{g}", "{missing}"])
 OUTPUT = st.sampled_from(["{out}.sg", "{out}.g"] * 3 + ["{dir}"])
 CONSTRUCT = {
-    "affine": ({"--p": st.sampled_from([2, 3, 5, 7] * 2 + [-1, 0, 4, 9, 10 ** 30]) | HUGE},
-               {"--max-p": st.integers(-1, 7)}),
-    "c4pipeline": ({"--n": SMALL_N}, {"--max-p": st.integers(-1, 7)}),
+    "affine": ({"--p": st.sampled_from([2, 3, 5, 7] * 2 + [-1, 0, 4, 9, 10 ** 30]) | HUGE}, {}),
+    "c4pipeline": ({"--n": SMALL_N}, {}),
     "bipartite": ({"--n": SMALL_N}, {}),
     "star": ({"--n": SMALL_N, "--t": st.integers(-1, 12) | EXTREME}, {}),
     "from-coloring": ({"--input": st.sampled_from(["{ec}"] * 3 + ["{g}", "{missing}"])}, {}),

@@ -196,6 +196,12 @@ def test_restrict_examples():
     assert restrict_blobs(s, s.n) == s
     r = restrict_blobs(s, 2)
     assert r.n == 2 and r.graph.V == 4
+    # no edge of the cycle joins two vertices of blob 0
+    r = restrict_blobs(s, 1)
+    assert (r.n, r.graph.V, r.graph.M, r.graph.edges.shape) == (1, 2, 0, (0, 2))
+    edgeless = SplitGraph(Graph(6, np.empty((0, 2), np.int64)), np.arange(6) // 2, 3, 2)
+    r = restrict_blobs(edgeless, 2)
+    assert (r.n, r.graph.V, r.graph.M, r.graph.edges.shape) == (2, 4, 0, (0, 2))
     with pytest.raises(TargetTooLarge):
         restrict_blobs(s, 4)
 

@@ -97,7 +97,7 @@ def _result_record(metrics: dict, passes: list[tuple[float, float]]) -> dict:
                        for lat, rss in passes]}
 
 
-def test_bench_ab_summarizes_two_result_files(tmp_path):
+def test_bench_ab_summarizes_two_result_files(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
     bench_ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_ab)
@@ -117,5 +117,13 @@ def test_bench_ab_summarizes_two_result_files(tmp_path):
                                                              "peak_mb": 39.7}
     assert table["change"]["invocations"]["estimate_h3"] == {"median_s": 0.5, "max_s": 0.75,
                                                              "peak_mb": 37.3}
+    assert table["parent"]["peak_by_passes"] == {3: 49.5}
+    assert table["change"]["peak_by_passes"] == {2: 49.6}
+    bench_ab.print_table(table)
+    assert "by pass count: parent 3: 49.5; change 2: 49.6\n" in capsys.readouterr().out
     runs = {side: runs[side] * 5 for side in runs}  # quartiles over several runs
     assert bench_ab.summarize(runs)["change"]["metrics"]["peak_rss_mb"]["q3"] == 49.6
+    # each pass count gets the median peak of its own runs
+    runs["change"] += [_result_record({"slowest_op_s": 0.5, "peak_rss_mb": mb}, [(0.2, 37.0)] * 3)
+                       for mb in (60.0, 64.0)]
+    assert bench_ab.summarize(runs)["change"]["peak_by_passes"] == {2: 49.6, 3: 62.0}
