@@ -26,6 +26,7 @@ from .formats import MAX_FILE_VERTICES
 from .graphs import Graph, connected_components, read_graph
 
 ORACLE_PATTERN_CAP = 12   # contains_subgraph is for desk-scale cross-checks
+ORACLE_WORK_CAP = 1 << 26  # pool elements contains_subgraph may scan (about a second)
 KST_ENUM_CAP = 1 << 12    # host-size cap for the exhaustive s >= 3 search
 WEDGE_BLOCK = 1 << 16     # wedges sorted at once by the common-neighbor scan
 
@@ -100,21 +101,16 @@ def parse_forbidden_spec(spec: str) -> ForbiddenGraph:
 # Backtracking oracle
 # ---------------------------------------------------------------------------
 
-def _neighbor_sets(g: Graph) -> list[set[int]]:
-    sets = [set() for _ in range(g.V)]
-    for u, v in g.edges.tolist():
-        sets[u].add(v)
-        sets[v].add(u)
-    return sets
-
-
 def contains_subgraph(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
     """First embedding of h into g (pattern vertex -> host vertex), or None.
 
     Pattern vertices are tried in a static high-degree-first order; host
     candidates are pruned by degree and by adjacency to already-placed
     pattern neighbors, and scanned in ascending id order, so the returned
-    embedding is deterministic.
+    embedding is deterministic.  A host vertex's neighbor set is built from
+    the CSR when the search first places it.  The work, counted per step as
+    the smallest pool intersected (the host's vertex count for a pattern
+    vertex with no placed neighbor), is capped at ORACLE_WORK_CAP.
     """
     hg = h.graph
     if hg.V > ORACLE_PATTERN_CAP:
@@ -122,33 +118,39 @@ def contains_subgraph(g: Graph, h: ForbiddenGraph) -> dict[int, int] | None:
     if hg.V > g.V or hg.M > g.M:
         return None
 
-    h_adj = _neighbor_sets(hg)
-    h_deg = [len(a) for a in h_adj]
+    h_deg = hg.degrees().tolist()
     order = sorted(range(hg.V), key=lambda v: (-h_deg[v], v))
-    pos_of = {v: i for i, v in enumerate(order)}
     # pattern neighbors of order[i] that are placed before step i
-    earlier = [[w for w in h_adj[v] if pos_of[w] < i] for i, v in enumerate(order)]
+    earlier = [[w for w in order[:i] if hg.has_edge(v, w)] for i, v in enumerate(order)]
 
-    g_adj = _neighbor_sets(g)
-    g_deg = g.degrees()
+    g_adj: dict[int, set[int]] = {}  # neighbor sets of the host vertices placed so far
+    g_deg = g.degrees().tolist()
     image = [-1] * hg.V
     used: set[int] = set()
+    work = 0
 
     def place(i: int) -> bool:
+        nonlocal work
         if i == hg.V:
             return True
         hv = order[i]
         if earlier[i]:
             pools = [g_adj[image[w]] for w in earlier[i]]
             pools.sort(key=len)
-            cands = sorted(pools[0].intersection(*pools[1:])) if len(pools) > 1 \
-                else sorted(pools[0])
+            work += len(pools[0])
+            cands = sorted(pools[0].intersection(*pools[1:]))
         else:
+            work += g.V
             cands = range(g.V)
+        if work > ORACLE_WORK_CAP:
+            raise InstanceTooLarge(f"subgraph search for {h.spec} passed its work cap "
+                                   f"{ORACLE_WORK_CAP} on a host of {g.V} vertices")
         need = h_deg[hv]
         for gv in cands:
             if gv in used or g_deg[gv] < need:
                 continue
+            if gv not in g_adj:
+                g_adj[gv] = set(g.neighbors(gv).tolist())
             image[hv] = gv
             used.add(gv)
             if place(i + 1):

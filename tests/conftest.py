@@ -142,18 +142,61 @@ def all_pairs(n: int) -> set[tuple[int, int]]:
     return {(i, j) for i in range(n) for j in range(i + 1, n)}
 
 
+def _neighbor_sets(g: Graph) -> list[set[int]]:
+    sets = [set() for _ in range(g.V)]
+    for u, v in g.edges.tolist():
+        sets[u].add(v)
+        sets[v].add(u)
+    return sets
+
+
 def brute_contains_subgraph(g: Graph, h: Graph) -> bool:
     """Subgraph containment by raw enumeration of injective maps; only for
     tiny patterns and hosts."""
-    g_adj = [set() for _ in range(g.V)]
-    for u, v in g.edges.tolist():
-        g_adj[u].add(v)
-        g_adj[v].add(u)
+    g_adj = _neighbor_sets(g)
     h_edges = h.edges.tolist()
     for image in itertools.permutations(range(g.V), h.V):
         if all(image[v] in g_adj[image[u]] for u, v in h_edges):
             return True
     return False
+
+
+def set_contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:
+    """The backtracking oracle over neighbor sets of every host vertex, built
+    up front: the reference for the mapping `contains_subgraph` returns (same
+    high-degree-first order, same ascending candidates), without its work cap."""
+    h_adj = _neighbor_sets(h)
+    h_deg = [len(a) for a in h_adj]
+    order = sorted(range(h.V), key=lambda v: (-h_deg[v], v))
+    pos_of = {v: i for i, v in enumerate(order)}
+    earlier = [[w for w in h_adj[v] if pos_of[w] < i] for i, v in enumerate(order)]
+    g_adj = _neighbor_sets(g)
+    image = [-1] * h.V
+    used: set[int] = set()
+
+    def place(i: int) -> bool:
+        if i == h.V:
+            return True
+        hv = order[i]
+        if earlier[i]:
+            pools = sorted((g_adj[image[w]] for w in earlier[i]), key=len)
+            cands = sorted(pools[0].intersection(*pools[1:]))
+        else:
+            cands = range(g.V)
+        for gv in cands:
+            if gv in used or len(g_adj[gv]) < h_deg[hv]:
+                continue
+            image[hv] = gv
+            used.add(gv)
+            if place(i + 1):
+                return True
+            used.discard(gv)
+            image[hv] = -1
+        return False
+
+    if h.V > g.V or h.M > g.M or not place(0):
+        return None
+    return dict(enumerate(image))
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

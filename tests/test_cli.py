@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from splitfree.cli import build_parser, run
-from splitfree.constructions import EdgeColoring, write_coloring
+from splitfree.constructions import EdgeColoring, build_bipartite_split, write_coloring
 from splitfree.graphs import read_split, write_graph, write_split
 from conftest import cycle_graph
 
@@ -351,8 +351,11 @@ GUARDED = {
     # 30000 edgeless one-vertex blobs: 449985000 missing pairs, counted and not listed
     "verify_edgeless": ["verify", "--input", "{edgeless}"],
     "prune_edgeless": ["prune", "--input", "{edgeless}"],
+    # the oracle's work cap: C5 in a 2000-vertex bipartite host is searched in vain
+    "verify_c5_bipartite_1000": ["verify", "--input", "{bip}", "--forbidden", "C5"],
 }
-GUARDED_ERRORS = {"prune_edgeless": ("NotALaxSplit",)}  # prune names the first missing pair
+GUARDED_ERRORS = {"prune_edgeless": ("NotALaxSplit",),  # prune names the first missing pair
+                  "verify_c5_bipartite_1000": ("InstanceTooLarge",)}
 HUB_HOST = "graph 1\nv 8 e 8\ne 0 1\ne 0 2\ne 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\ne 1 2\n"
 EDGELESS_SPLIT = "splitgraph 1\nn 30000 k 1 v 30000 e 0\n" + "".join(
     f"b {i} {i}\n" for i in range(30000))
@@ -383,7 +386,11 @@ def test_oversized_requests_refused_before_allocation(name, tmp_path):
     hub.write_text(HUB_HOST)
     edgeless.write_text(EDGELESS_SPLIT)
     write_graph(cycle_graph(6), host)
-    argv = [a.format(wide=wide, host=host, hub=hub, edgeless=edgeless) for a in GUARDED[name]]
+    bip = tmp_path / "bip.sg"
+    if "{bip}" in GUARDED[name]:
+        write_split(build_bipartite_split(1000), bip)
+    argv = [a.format(wide=wide, host=host, hub=hub, edgeless=edgeless, bip=bip)
+            for a in GUARDED[name]]
     proc = _run_limited(argv)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 1

@@ -21,7 +21,11 @@ from conftest import (
 )
 from splitfree import formats, freeness
 from splitfree.cli import run
-from splitfree.constructions import build_affine_split, construct_c4_free_split
+from splitfree.constructions import (
+    build_affine_split,
+    build_bipartite_split,
+    construct_c4_free_split,
+)
 from splitfree.errors import (
     GrammarError,
     InstanceTooLarge,
@@ -293,6 +297,33 @@ def test_each_guard_admits_exactly_its_cap(tmp_path, monkeypatch):
     for spec in ("C11", "K2,6"):
         with pytest.raises(SizeGuard):
             parse_forbidden_spec(spec)
+
+
+def test_oracle_work_cap_admits_exactly_its_count(monkeypatch):
+    """C3 in C6 scans 6 start vertices; each start's second step scans one
+    2-element pool, and each of its two third steps intersects two 2-element
+    pools, counted as the smaller: 6 + 6 * (2 + 2 * 2) = 42.  The search ends
+    at a cap of 42 and is refused one below it."""
+    c3 = parse_forbidden_spec("C3")
+    monkeypatch.setattr(freeness, "ORACLE_WORK_CAP", 42)
+    assert contains_subgraph(cycle_graph(6), c3) is None
+    monkeypatch.setattr(freeness, "ORACLE_WORK_CAP", 41)
+    with pytest.raises(InstanceTooLarge, match="C3"):
+        contains_subgraph(cycle_graph(6), c3)
+
+
+def test_oracle_builds_sets_only_for_the_vertices_it_reaches():
+    """P4's witness in the n = 900 bipartite split (405 k edges) uses host ids
+    below 6, so the search holds almost nothing beyond the graph's CSR."""
+    g = build_bipartite_split(900).graph
+    g.csr()
+    tracemalloc.start()
+    try:
+        assert contains_subgraph(g, parse_forbidden_spec("P4")) == {0: 3, 1: 0, 2: 5, 3: 2}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_wedge_scan_memory_is_bounded_by_the_block():

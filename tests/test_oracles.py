@@ -12,7 +12,7 @@ from sympy import Poly, isprime, prevprime, primerange, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
-from conftest import random_graph
+from conftest import random_graph, set_contains_subgraph
 from splitfree.fields import (
     MR_EXACT_BELOW,
     _smallest_irreducible_quadratic,
@@ -28,6 +28,10 @@ from splitfree.freeness import (
 )
 
 PATTERNS = ["C3", "C4", "C5", "C6", "P3", "P4", "P5", "K2,2", "K2,3", "K3,3", "S2", "S3", "S4"]
+# disconnected `file:` patterns: a second component's first vertex has no placed neighbor
+DISCONNECTED = {"2K2": "graph 1\nv 4 e 2\ne 0 1\ne 2 3\n",
+                "K3+K1": "graph 1\nv 4 e 3\ne 0 1\ne 0 2\ne 1 2\n",
+                "P3+K2": "graph 1\nv 5 e 3\ne 0 1\ne 1 2\ne 3 4\n"}
 BICLIQUES = {"C4": (2, 2), "K2,2": (2, 2), "K2,3": (2, 3), "K3,3": (3, 3),
              "S2": (1, 2), "S3": (1, 3), "S4": (1, 4)}
 
@@ -37,6 +41,14 @@ def hosts():
     rng = np.random.default_rng(2024)
     return [random_graph(int(rng.integers(4, 11)), float(rng.choice([0.2, 0.35, 0.5, 0.7])), rng)
             for _ in range(60)]
+
+
+def forbidden(spec: str, tmp_path):
+    if spec in DISCONNECTED:
+        path = tmp_path / f"{spec}.g"
+        path.write_text(DISCONNECTED[spec])
+        spec = f"file:{path}"
+    return parse_forbidden_spec(spec)
 
 
 def to_nx(g) -> nx.Graph:
@@ -52,9 +64,9 @@ def is_embedding(host: nx.Graph, pattern: nx.Graph, mapping: dict[int, int]) -> 
             and all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges))
 
 
-@pytest.mark.parametrize("spec", PATTERNS)
-def test_checkers_agree_with_vf2(spec):
-    h = parse_forbidden_spec(spec)
+@pytest.mark.parametrize("spec", PATTERNS + list(DISCONNECTED))
+def test_checkers_agree_with_vf2(spec, tmp_path):
+    h = forbidden(spec, tmp_path)
     pattern = to_nx(h.graph)
     for g in hosts():
         host = to_nx(g)
@@ -66,6 +78,13 @@ def test_checkers_agree_with_vf2(spec):
             assert (is_kst_free(g, *BICLIQUES[spec]) is not None) == found
         if BICLIQUES.get(spec) == (2, 2):
             assert (is_c4_free(g) is not None) == found
+
+
+@pytest.mark.parametrize("spec", PATTERNS + list(DISCONNECTED))
+def test_oracle_returns_the_reference_mapping(spec, tmp_path):
+    h = forbidden(spec, tmp_path)
+    for g in hosts():
+        assert contains_subgraph(g, h) == set_contains_subgraph(g, h.graph), g.edges.tolist()
 
 
 @pytest.mark.parametrize("p", list(primerange(2, 50)))
