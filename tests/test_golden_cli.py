@@ -15,7 +15,9 @@ trivial report that every pattern gets when n < |V(H)|.  The found-witness
 runs at the end were appended later, recorded from the program as it was
 before the forbidden-pattern dispatch was rewritten, and the three
 construction-table runs after them from the program as it was before the
-construction table moved out of the CLI.  Record them again only for an
+construction table moved out of the CLI.  The K3,3 run after those was
+recorded from the program as it was before the exhaustive biclique search
+lost its recursion.  Record them again only for an
 intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
@@ -97,6 +99,8 @@ CASES = [
     "bounds --forbidden K2,3 --n 30 --certify",
     "construct affine --p 2 --no-verify",
     "construct star --n 7 --t 3 --forbidden C4",
+    # the exhaustive s >= 3 biclique search's witness
+    "verify --input bip6.sg --forbidden K3,3",
 ]
 
 
