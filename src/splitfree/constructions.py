@@ -20,7 +20,7 @@ serialized outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -224,28 +224,25 @@ def build_split_from_coloring(c: EdgeColoring) -> SplitGraph:
     The graph is a vertex-disjoint union of one copy of each color class.
     """
     k = c.colors
-    items = sorted(c.color_of.items())
     edges = np.array(
-        [(i * k + colr, j * k + colr) for (i, j), colr in items], dtype=np.int64)
+        [(i * k + colr, j * k + colr) for (i, j), colr in c.color_of.items()], dtype=np.int64)
     blob_of = np.arange(c.n * k, dtype=np.int64) // k
     return SplitGraph(Graph(c.n * k, edges), blob_of, c.n, k)
 
 
 def round_robin_coloring(n: int) -> EdgeColoring:
-    """Color K_n's edges by round-robin round: n-1 perfect matchings for even
-    n (circle method, one vertex fixed), n near-perfect matchings for odd n."""
+    """Color K_n's edges by round-robin round, in the circle method's closed form
+    with m = n + n % 2: pair a < b has round a if b = m-1, else (a+b)*(m/2) mod
+    (m-1), as m/2 inverts 2 mod m-1.  Odd n has n rounds, even n has n-1."""
     if n < 2:
         raise ParameterError(f"round robin needs n >= 2, got {n}")
-    m = n + n % 2  # odd n: schedule with a dummy, drop its pairs
-    rounds = round_robin_rounds(n)
+    m = n + n % 2
     color_of: dict[tuple[int, int], int] = {}
-    for r in range(rounds):
-        pairs = [(m - 1, r)]
-        pairs += [((r + i) % (m - 1), (r - i) % (m - 1)) for i in range(1, m // 2)]
-        for a, b in pairs:
-            if a < n and b < n:
-                color_of[(min(a, b), max(a, b))] = r
-    return EdgeColoring(n, rounds, color_of)
+    for a in range(n - 1):
+        hi = np.arange(a + 1, n)
+        rounds = np.where(hi == m - 1, a, (a + hi) * (m // 2) % (m - 1))
+        color_of.update(zip(zip(repeat(a), hi.tolist()), rounds.tolist()))
+    return EdgeColoring(n, round_robin_rounds(n), color_of)
 
 
 def round_robin_rounds(n: int) -> int:

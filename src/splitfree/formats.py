@@ -69,8 +69,9 @@ def write(path, kind: str, nums, *sections) -> None:
     lines = [f"{kind} 1", " ".join(f"{name} {x}" for name, x in zip(shape.split()[::2], nums))]
     for tag, rows in zip(tags, sections):
         lines.extend(_LINES[tag](rows, nums))
+    text = "\n".join(lines) + "\n"  # before opening truncates an earlier file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _edge_lines(edges: np.ndarray, nums) -> list[str]:

@@ -244,25 +244,25 @@ def _kst_enumerate(g: Graph, s: int, t: int) -> BicliqueWitness | None:
         bitrow[u] |= 1 << w
         bitrow[w] |= 1 << u
 
-    def extend(chosen: list[int], common: int, start: int) -> BicliqueWitness | None:
-        if len(chosen) == s:
-            right = []
-            bits = common
-            while bits and len(right) < t:
-                low = bits & -bits
-                right.append(low.bit_length() - 1)
-                bits ^= low
-            return BicliqueWitness(tuple(chosen), tuple(right))
-        for idx in range(start, len(candidates)):
-            v = candidates[idx]
-            nxt = common & bitrow[v] if chosen else bitrow[v]
-            if nxt.bit_count() >= t:
-                found = extend(chosen + [v], nxt, idx + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([], 0, 0)
+    # depth d holds the next candidate index to try and the common neighbors of the
+    # d vertices chosen so far (-1, every bit, at depth 0); candidates[starts[d] - 1]
+    # is the vertex chosen at depth d
+    starts, commons = [0], [-1]
+    while starts:
+        idx = starts[-1]
+        if idx == len(candidates):
+            del starts[-1], commons[-1]
+            continue
+        starts[-1] = idx + 1
+        common = commons[-1] & bitrow[candidates[idx]]
+        if common.bit_count() < t:
+            continue
+        if len(starts) == s:
+            right = [i for i, bit in enumerate(bin(common)[:1:-1]) if bit == "1"][:t]
+            return BicliqueWitness(tuple(candidates[i - 1] for i in starts), tuple(right))
+        starts.append(idx + 1)
+        commons.append(common)
+    return None
 
 
 def is_kst_free(g: Graph, s: int, t: int) -> BicliqueWitness | None:

@@ -369,11 +369,13 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
     # case 1: partition the rest by id into q-1 near-equal parts, longer ones first
     if q - 1 > MAX_TRIM_PARTS:
         raise SizeGuard(f"case 1 at q={q} lists {q - 1} parts; guard is {MAX_TRIM_PARTS}")
-    rest = np.sort(by_degree[a1_size:])
-    parts = [np.sort(a1).tolist()] + [p.tolist() for p in np.array_split(rest, q - 1)]
+    members = np.concatenate((np.sort(a1), np.sort(by_degree[a1_size:])))
+    base, extra = divmod(ell - a1_size, q - 1)
+    sizes = [a1_size] + [base + 1] * extra + [base] * (q - 1 - extra)
     part_of = np.empty(ell, dtype=np.int64)
-    for pi, members in enumerate(parts):
-        part_of[members] = pi
+    part_of[members] = np.repeat(np.arange(q), sizes)
+    flat, ends = members.tolist(), np.cumsum(sizes).tolist()
+    parts = [flat[end - size:end] for size, end in zip(sizes, ends)]
     pu = part_of[g.edges[:, 0]]
     pv = part_of[g.edges[:, 1]]
     to_a1 = (pu == 0) ^ (pv == 0)
@@ -383,6 +385,6 @@ def trim_max_degree(g: Graph, b: float, cp: float = 1.0,
     return TrimResult(
         case=1, q=q,
         certificate=Case1Certificate(
-            parts=parts, part_sizes=[len(p) for p in parts], j=j_part + 1,
+            parts=parts, part_sizes=sizes, j=j_part + 1,
             union_edge_count=union_edges,
             lower_bound=m / (2 * (q - 1))))

@@ -18,6 +18,7 @@ import pytest
 
 from splitfree.errors import NotALaxSplit
 from splitfree.fields import Field
+from splitfree.freeness import BicliqueWitness
 from splitfree.graphs import Graph, SplitGraph, _cross_pair_keys, _missing_pairs
 
 HANG_LIMIT_S = 600  # a test still running after this long has hung: dump every thread and exit
@@ -197,6 +198,53 @@ def set_contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:
     if h.V > g.V or h.M > g.M or not place(0):
         return None
     return dict(enumerate(image))
+
+
+def circle_method_coloring(n: int) -> dict[tuple[int, int], int]:
+    """The round-robin schedule of K_n round by round: in round r the fixed
+    vertex m-1 meets r and (r+i) meets (r-i) mod m-1, with m = n + n % 2 and a
+    dummy vertex n for odd n whose pairs are dropped.  The reference for
+    `round_robin_coloring`'s closed form."""
+    m = n + n % 2
+    color_of = {}
+    for r in range(m - 1):
+        pairs = [(m - 1, r)] + [((r + i) % (m - 1), (r - i) % (m - 1)) for i in range(1, m // 2)]
+        for a, b in pairs:
+            if a < n and b < n:
+                color_of[(min(a, b), max(a, b))] = r
+    return color_of
+
+
+def recursive_kst_enumerate(g: Graph, s: int, t: int) -> BicliqueWitness | None:
+    """The exhaustive K_{s,t} search as one recursive call per chosen vertex,
+    without the host-size cap: the witness reference for `_kst_enumerate`'s
+    explicit stack (same ascending candidates, same lowest t common neighbors)."""
+    deg = g.degrees()
+    candidates = [v for v in range(g.V) if deg[v] >= t]
+    bitrow = [0] * g.V
+    for u, w in g.edges.tolist():
+        bitrow[u] |= 1 << w
+        bitrow[w] |= 1 << u
+
+    def extend(chosen: list[int], common: int, start: int) -> BicliqueWitness | None:
+        if len(chosen) == s:
+            right = []
+            bits = common
+            while bits and len(right) < t:
+                low = bits & -bits
+                right.append(low.bit_length() - 1)
+                bits ^= low
+            return BicliqueWitness(tuple(chosen), tuple(right))
+        for idx in range(start, len(candidates)):
+            v = candidates[idx]
+            nxt = common & bitrow[v] if chosen else bitrow[v]
+            if nxt.bit_count() >= t:
+                found = extend(chosen + [v], nxt, idx + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], 0, 0)
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

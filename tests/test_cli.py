@@ -417,6 +417,21 @@ def test_huge_primes_decided_quickly():
     assert report["f_upper"] == 2 * (10 ** 20 + 39) and report["f_upper_certified"]
 
 
+def test_deep_biclique_search_finds_its_witness():
+    # K1000,1000 chooses 1000 left vertices, one search level each: past
+    # Python's recursion limit, on a 4096-vertex host the search admits
+    proc = _run_limited(["construct", "bipartite", "--n", "2048", "--forbidden", "K1000,1000"])
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+    forbidden = json.loads(proc.stdout)["forbidden"]
+    assert not forbidden["free"] and forbidden["witness"]["found"]
+    image = dict(forbidden["witness"]["mapping"])
+    left, right = [image[v] for v in range(1000)], [image[v] for v in range(1000, 2000)]
+    # red 2i meets blue 2j+1 exactly when i < j
+    assert all(v % 2 == 0 for v in left) and all(v % 2 == 1 for v in right)
+    assert max(left) // 2 < min(right) // 2 and len(set(left + right)) == 2000
+
+
 OUT_OF_RANGE = {  # file text, argv, the JSON error
     "ec_colors_huge": ("coloring 1\nn 2 colors 1000000000000\nc 0 1 0\n",
                        ["construct", "from-coloring", "--input", "{path}"],

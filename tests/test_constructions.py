@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FieldElement, all_pairs, complete_graph, crossed_blob_pairs, field_add, field_mul
+from conftest import (FieldElement, all_pairs, circle_method_coloring, complete_graph,
+                      crossed_blob_pairs, field_add, field_mul)
 from splitfree import constructions
 from splitfree.constructions import (
     EdgeColoring,
@@ -329,6 +330,11 @@ def test_round_robin_is_proper(n):
         assert (i, r) not in seen and (j, r) not in seen  # one edge per vertex per round
         seen.add((i, r))
         seen.add((j, r))
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 101, 250, 1000])
+def test_round_robin_is_the_circle_method(n):
+    assert round_robin_coloring(n).color_of == circle_method_coloring(n)
 
 
 def test_star_blob_size_counts_round_robin_rounds():

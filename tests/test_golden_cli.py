@@ -17,8 +17,7 @@ before the forbidden-pattern dispatch was rewritten, and the three
 construction-table runs after them from the program as it was before the
 construction table moved out of the CLI.  The K3,3 run after those was
 recorded from the program as it was before the exhaustive biclique search
-lost its recursion.  Record them again only for an
-intended output change:
+lost its recursion.  Record them again only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """

@@ -432,6 +432,19 @@ def test_write_read_write_byte_identity(name, tmp_path):
     assert g_first.read_bytes() == g_second.read_bytes()
 
 
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    # the text is joined before the path is opened: a join that fails (here on
+    # a non-string line, in practice on a MemoryError) leaves the file alone
+    s = _constructions()["bipartite7"]
+    path = tmp_path / "s.sg"
+    write_split(s, path)
+    before = path.read_bytes()
+    monkeypatch.setitem(formats._LINES, "e", lambda edges, nums: [None])
+    with pytest.raises(TypeError):
+        write_split(s, path)
+    assert path.read_bytes() == before
+
+
 def _replace_line(prefix, fn):
     """Mutation applying fn to the last line starting with prefix, if any."""
     def mutate(lines):

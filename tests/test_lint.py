@@ -77,3 +77,31 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             if node.name not in used.union(*own[:i], *own[i + 1:]):
                 unused.append(f"{name}:{node.name}")
     assert modules and not unused, unused
+
+
+def _calls_itself(func: ast.FunctionDef) -> bool:
+    """Whether a function's body calls it by name, or as a method of self or cls."""
+    for sub in ast.walk(func):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            if isinstance(f, ast.Name) and f.id == func.name:
+                return True
+            if isinstance(f, ast.Attribute) and f.attr == func.name \
+                    and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"):
+                return True
+    return False
+
+
+# the oracle's search recurses once per pattern vertex: at most ORACLE_PATTERN_CAP deep
+BOUNDED_RECURSION = {("freeness.py", "place")}
+
+
+def test_no_function_calls_itself():
+    """A recursion as deep as its input ends in a RecursionError traceback once
+    the input passes Python's recursion limit; the package loops over an
+    explicit stack instead, except where the depth has a small cap."""
+    found = [(path.name, node.name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls_itself(node)]
+    assert set(found) <= BOUNDED_RECURSION, found

@@ -12,7 +12,7 @@ from sympy import Poly, isprime, prevprime, primerange, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_mul, gf_rem
 
-from conftest import random_graph, set_contains_subgraph
+from conftest import random_graph, recursive_kst_enumerate, set_contains_subgraph
 from splitfree.fields import (
     MR_EXACT_BELOW,
     _smallest_irreducible_quadratic,
@@ -20,6 +20,7 @@ from splitfree.fields import (
     make_quadratic_field,
 )
 from splitfree.freeness import (
+    _kst_enumerate,
     check_forbidden,
     contains_subgraph,
     is_c4_free,
@@ -85,6 +86,13 @@ def test_oracle_returns_the_reference_mapping(spec, tmp_path):
     h = forbidden(spec, tmp_path)
     for g in hosts():
         assert contains_subgraph(g, h) == set_contains_subgraph(g, h.graph), g.edges.tolist()
+
+
+@pytest.mark.parametrize("s, t", [(3, 3), (3, 4)])
+def test_biclique_search_returns_the_recursive_witness(s, t):
+    witnesses = [_kst_enumerate(g, s, t) for g in hosts()]
+    assert witnesses == [recursive_kst_enumerate(g, s, t) for g in hosts()]
+    assert any(witnesses) and not all(witnesses)
 
 
 @pytest.mark.parametrize("p", list(primerange(2, 50)))
